@@ -154,7 +154,9 @@ fn verdict_kernel() {
         let mut acc = 0u64;
         for p in 0..64u32 {
             let pair = table.pair(label(p), label(p + 64)).unwrap();
-            let block = pair.block(black_box(49)).unwrap();
+            let block = pair
+                .block_at_cursor(&mut support::SupportCursor::default(), black_box(49))
+                .unwrap();
             acc += u64::from(block[3]);
         }
         acc

@@ -9,20 +9,25 @@
 //!   granule.
 //! * [`HlhK`] combines the k-event hash table `EH_k`, the pattern hash table
 //!   `PH_k` and the pattern-granule hash table `GH_k`. Groups and patterns
-//!   are *interned*: each lives exactly once in an arena and is addressed by
-//!   a compact [`GroupId`] / [`PatternId`] everywhere else. The hash indexes
-//!   are keyed by packed `u64` buffers ([`encode_pattern_key`]), so an
-//!   occurrence insert hashes a few machine words instead of a whole
-//!   [`TemporalPattern`], and never clones the pattern. Instance bindings
-//!   are stored in one flat [`EventInstance`] pool per level (every binding
-//!   is `k` consecutive pool slots) with per-pattern offset arrays
-//!   pattern → granule → binding-id slice on top — appending an occurrence
-//!   is a bump-append, and reading the bindings of a granule is two offset
-//!   lookups once the granule's position in the support set is known.
+//!   live exactly once in an arena and are addressed by a compact
+//!   [`GroupId`] / [`PatternId`] everywhere else. A level is filled one
+//!   group at a time ([`HlhK::begin_group`] … [`HlhK::end_group`]): every
+//!   k-group comes out of exactly one contiguous stretch of the level loop,
+//!   so a pattern only has to be told apart from the other patterns of its
+//!   group. It is interned by the (k−1)-pattern it extends plus the
+//!   verdict byte of every new relation, in a key table reused from group
+//!   to group — an occurrence insert compares a few bytes against the open
+//!   group's newest keys and never hashes, clones or encodes the pattern.
+//!   Instance bindings are stored in one flat [`EventInstance`]
+//!   pool per level (every binding is `k` consecutive pool slots) with
+//!   per-pattern offset arrays pattern → granule → binding-id slice on top —
+//!   appending an occurrence is a bump-append, and reading the bindings of a
+//!   granule is two offset lookups once the granule's position in the
+//!   support set is known.
 //!
-//! The arena + index layout is what [`HlhK::merge_shards`] exploits to make
-//! parallel mining byte-identical to sequential mining: per-shard ids are
-//! remapped by a constant offset in shard order.
+//! The arena layout is what [`HlhK::merge_shards`] exploits to make parallel
+//! mining byte-identical to sequential mining: per-shard ids are remapped by
+//! a constant offset in shard order.
 //!
 //! Two reuse structures ride on `HLH_2` so that level k ≥ 3 never re-derives
 //! what level 2 already computed:
@@ -41,26 +46,29 @@
 //! Levels also come in a *terminal* flavour ([`HlhK::new_terminal`]): the
 //! last level of a run is never extended, so its instance bindings are never
 //! read — a terminal level keeps supports and patterns but skips the binding
-//! pool entirely, which is where the bulk of a level's footprint lives.
+//! pool entirely, which is where the bulk of a level's footprint lives. Nor
+//! does a terminal level need compacting: [`HlhK::candidate_summary`] counts
+//! what [`HlhK::retain_candidates`] would keep.
 //!
 //! # Validation & hot-path discipline
 //!
 //! The accessors above lean on layout invariants — monotone in-bounds CSR
-//! offsets, index maps consistent with their arenas, exact pool slot
-//! arithmetic — that [`Hlh1::validate`], [`HlhK::validate`] and
-//! [`VerdictTable::validate`] check exhaustively (see the
-//! [`invariants`](crate::invariants) module; the miner runs them at every
+//! offsets, a group index consistent with its arena, patterns unique within
+//! their group, exact pool slot arithmetic — that [`Hlh1::validate`],
+//! [`HlhK::validate`] and [`VerdictTable::validate`] check exhaustively (see
+//! the [`invariants`](crate::invariants) module; the miner runs them at every
 //! level boundary under `debug_assertions` or the `strict-invariants`
-//! feature). The per-occurrence entry points (`instances_at_index`,
-//! `binding_ids_at`, `push_verdict`, `add_pattern_occurrence`, …) are
-//! marked `// lint: hot-path`: the project lint pass rejects any allocating
-//! construct added to them, keeping occurrence inserts bump-appends and
-//! granule reads two offset lookups.
+//! feature, which also enforce the one-stretch-per-group contract as it is
+//! used). The per-occurrence entry points (`instances_at_index`,
+//! `binding_ids_at`, `push_verdict`, `add_pattern_occurrence`, the cursor
+//! seeks, …) are marked `// lint: hot-path`: the project lint pass rejects
+//! any allocating construct added to them, keeping occurrence inserts
+//! bump-appends and granule reads two offset lookups.
 
 use crate::config::ResolvedConfig;
 use crate::fxhash::FxHashMap;
-use crate::pattern::{encode_label, encode_pattern_key, TemporalPattern};
-use crate::support::SupportSet;
+use crate::pattern::{encode_label, RelationTriple, TemporalPattern};
+use crate::support::{SupportCursor, SupportSet};
 use stpm_timeseries::{EventInstance, EventLabel, GranulePos, SequenceDatabase};
 
 /// Compact identifier of a candidate group inside one [`HlhK`] (its index in
@@ -126,6 +134,22 @@ impl EventEntry {
             .get(idx + 1)
             .map_or(self.instances.len(), |&s| s as usize);
         &self.instances[start..end]
+    }
+
+    /// Instances of the event in granule `granule`, found by a forward
+    /// cursor over the support set (see [`SupportCursor`]); empty when the
+    /// granule does not support the event.
+    #[must_use]
+    // lint: hot-path
+    pub fn instances_at_cursor(
+        &self,
+        cursor: &mut SupportCursor,
+        granule: GranulePos,
+    ) -> &[EventInstance] {
+        match cursor.seek(&self.support, granule) {
+            Some(idx) => self.instances_at_index(idx),
+            None => &[],
+        }
     }
 
     /// Approximate heap footprint in bytes.
@@ -409,8 +433,8 @@ impl RelationAdjacency {
 /// Level k ≥ 3 classifies the *same* interval pairs level 2 already decided
 /// — the member of a (k−1)-binding against the extension event's instances.
 /// The table makes that a byte load: pair → (hash probe once per group ×
-/// extension), granule → (binary search once per granule), cell → offset
-/// arithmetic.
+/// extension), granule → (a forward-cursor seek that gallops over the
+/// granules the ascending walk skipped), cell → offset arithmetic.
 #[derive(Debug, Clone, Default)]
 pub struct VerdictTable {
     /// Canonically ordered packed label pair → pair slot.
@@ -534,12 +558,16 @@ impl<'a> PairVerdicts<'a> {
     /// instance cross-product, or `None` when the granule was not processed
     /// for this pair. Index cell `(i, j)` as `block[i * cols + j]`, where
     /// `cols` is the second (larger-label) event's instance count in the
-    /// granule.
+    /// granule. `cursor` walks this pair's granules (see [`SupportCursor`]).
     #[must_use]
     // lint: hot-path
-    pub fn block(&self, granule: GranulePos) -> Option<&'a [u8]> {
+    pub fn block_at_cursor(
+        &self,
+        cursor: &mut SupportCursor,
+        granule: GranulePos,
+    ) -> Option<&'a [u8]> {
         let granules = &self.table.granules[self.start..self.end];
-        let idx = self.start + granules.binary_search(&granule).ok()?;
+        let idx = self.start + cursor.seek(granules, granule)?;
         let start = self.table.block_starts[idx] as usize;
         let end = self
             .table
@@ -548,24 +576,31 @@ impl<'a> PairVerdicts<'a> {
             .map_or(self.table.verdicts.len(), |&s| s as usize);
         Some(&self.table.verdicts[start..end])
     }
+}
 
-    /// Whether the pair relates anywhere in `granule`'s block: `Some(true)`
-    /// when at least one cell holds a relation verdict, `Some(false)` when
-    /// the whole cross-product classified to no relation (so no candidate
-    /// binding through this pair can extend at the granule), `None` when
-    /// the granule was not processed for this pair. The scan runs through
-    /// the dispatched [`crate::simd`] byte-scan kernel (32 cells per
-    /// compare on AVX2).
-    #[must_use]
-    // lint: hot-path
-    pub fn block_has_relation(&self, granule: GranulePos) -> Option<bool> {
-        self.block(granule)
-            .map(|block| crate::simd::kernels().verdict_any(block))
-    }
+/// Candidate counts and footprint of one level (see
+/// [`HlhK::summary`] and [`HlhK::candidate_summary`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelSummary {
+    /// Groups holding at least one counted pattern.
+    pub groups: usize,
+    /// Counted patterns.
+    pub patterns: usize,
+    /// Footprint in bytes of the level holding exactly the counted patterns
+    /// and groups (what [`HlhK::footprint_bytes`] reports for it).
+    pub footprint_bytes: usize,
 }
 
 /// The hierarchical lookup hash structure for k-event groups and patterns
 /// (`HLH_k`, k ≥ 2).
+///
+/// A level is filled one group at a time: [`begin_group`](Self::begin_group),
+/// any number of [`add_pattern_occurrence`](Self::add_pattern_occurrence)
+/// calls, [`end_group`](Self::end_group). Each group must be produced by
+/// exactly one such stretch — that is what makes group-local pattern
+/// interning exact. Debug builds and the `strict-invariants` feature reject a
+/// reopened group, and [`validate`](Self::validate) rejects two patterns of
+/// one group with the same key.
 #[derive(Debug, Clone, Default)]
 pub struct HlhK {
     k: usize,
@@ -573,10 +608,9 @@ pub struct HlhK {
     groups: Vec<GroupEntry>,
     /// Packed event labels → group id.
     group_index: FxHashMap<Box<[u64]>, GroupId>,
-    /// Pattern arena, in insertion order.
+    /// Pattern arena, in insertion order; the patterns of one group are
+    /// contiguous.
     patterns: Vec<PatternEntry>,
-    /// Packed pattern key → pattern id.
-    pattern_index: FxHashMap<Box<[u64]>, PatternId>,
     /// Flat instance pool: binding `b` occupies slots `b*k .. (b+1)*k`.
     /// Empty for terminal levels, which record no bindings at all.
     pool: Vec<EventInstance>,
@@ -586,6 +620,14 @@ pub struct HlhK {
     /// Level-2 relation verdicts (empty unless this is a non-terminal
     /// `HLH_2` mined with verdict recording).
     verdicts: VerdictTable,
+    /// Whether the last arena group is open (between `begin_group` and
+    /// `end_group`).
+    open: bool,
+    /// Interning keys of the open group's patterns, entry `e` keying its
+    /// `e`-th pattern: the base of each entry, and its codes (`k − 1` bytes
+    /// each).
+    open_bases: Vec<u32>,
+    open_codes: Vec<u8>,
 }
 
 impl HlhK {
@@ -594,13 +636,8 @@ impl HlhK {
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            groups: Vec::new(),
-            group_index: FxHashMap::default(),
-            patterns: Vec::new(),
-            pattern_index: FxHashMap::default(),
-            pool: Vec::new(),
             record_bindings: true,
-            verdicts: VerdictTable::default(),
+            ..Self::default()
         }
     }
 
@@ -648,21 +685,56 @@ impl HlhK {
         members.iter().copied().map(encode_label).collect()
     }
 
-    /// Registers a candidate k-event group with its support set and returns
-    /// its id (the existing id when the group is already registered).
-    pub fn insert_group(&mut self, events: Vec<EventLabel>, support: SupportSet) -> GroupId {
-        let key = Self::encode_group(&events);
-        if let Some(&id) = self.group_index.get(&key) {
-            return id;
+    /// Opens the next candidate group, with its canonically sorted events
+    /// and its support set, and returns its id. Its patterns are added by
+    /// [`add_pattern_occurrence`](Self::add_pattern_occurrence) until
+    /// [`end_group`](Self::end_group) closes it.
+    ///
+    /// # Panics
+    /// With strict checks on (see [`crate::invariants`]), when a group is
+    /// already open or the level already holds a group with these events —
+    /// every group must be produced by one contiguous stretch.
+    pub fn begin_group(&mut self, events: &[EventLabel], support: &[GranulePos]) -> GroupId {
+        if crate::invariants::strict_checks_enabled() {
+            assert!(!self.open, "begin_group while another group is open");
+            assert!(
+                self.group(events).is_none(),
+                "group {events:?} reopened: every group must be produced by one contiguous stretch"
+            );
         }
         let id = GroupId(u32::try_from(self.groups.len()).expect("group count fits u32"));
-        self.group_index.insert(key, id);
         self.groups.push(GroupEntry {
-            events,
-            support,
+            events: events.to_vec(),
+            support: support.to_vec(),
             patterns: Vec::new(),
         });
+        self.open_bases.clear();
+        self.open_codes.clear();
+        self.open = true;
         id
+    }
+
+    /// Closes the open group. A group that received no pattern is dropped
+    /// again: it would never be extended, so it must not count as a
+    /// candidate group.
+    ///
+    /// # Panics
+    /// With strict checks on, when no group is open.
+    pub fn end_group(&mut self) {
+        if crate::invariants::strict_checks_enabled() {
+            assert!(self.open, "end_group without an open group");
+        }
+        self.open = false;
+        let Some(last) = self.groups.last() else {
+            return;
+        };
+        if last.patterns.is_empty() {
+            self.groups.pop();
+        } else {
+            let id = GroupId(u32::try_from(self.groups.len() - 1).expect("group count fits u32"));
+            self.group_index
+                .insert(Self::encode_group(&last.events), id);
+        }
     }
 
     /// The candidate k-event groups, sorted canonically by their events.
@@ -706,20 +778,27 @@ impl HlhK {
             .map(move |&b| self.binding(b))
     }
 
-    /// Adds one occurrence of the candidate pattern identified by `key` (its
-    /// packed interning key) to `group`. The binding is `prefix` followed by
-    /// `last` — the pool append copies the instances, so callers extend a
-    /// (k-1)-binding slice without materialising an owned vector.
-    /// `make_pattern` is invoked only when the key is new; the constructed
-    /// pattern is stored once in the arena and never cloned.
+    /// Adds one occurrence of a candidate pattern of the open group. Within
+    /// the group the pattern is identified by `base`, the id of the
+    /// (k−1)-pattern it extends (any constant at level 2), and `codes`, the
+    /// [`encode_verdict`](crate::relation::encode_verdict) byte of the
+    /// relation between each earlier event and the newest one (`k − 1`
+    /// bytes). `make_pattern` is invoked only when the key is new to the
+    /// group; the constructed pattern is stored once in the arena and never
+    /// cloned. The binding is `prefix` followed by `last` — the pool append
+    /// copies the instances, so callers extend a (k−1)-binding slice without
+    /// materialising an owned vector.
     ///
     /// Occurrences of one pattern must arrive in non-decreasing granule
     /// order (level mining scans granules in order per candidate).
+    ///
+    /// # Panics
+    /// With strict checks on, when no group is open.
     // lint: hot-path
     pub fn add_pattern_occurrence<F>(
         &mut self,
-        group: GroupId,
-        key: &[u64],
+        base: u32,
+        codes: &[u8],
         make_pattern: F,
         granule: GranulePos,
         prefix: &[EventInstance],
@@ -728,57 +807,63 @@ impl HlhK {
     where
         F: FnOnce() -> TemporalPattern,
     {
+        if crate::invariants::strict_checks_enabled() {
+            assert!(self.open, "add_pattern_occurrence outside an open group");
+        }
         debug_assert_eq!(prefix.len() + 1, self.k, "binding length must be k");
-        let id = match self.pattern_index.get(key) {
-            Some(&id) => id,
-            None => {
-                let id = PatternId(u32::try_from(self.patterns.len()).expect("patterns fit u32"));
-                let pattern = make_pattern();
-                debug_assert_eq!(
-                    encode_pattern_key(&pattern),
-                    key,
-                    "interning key must encode the constructed pattern"
-                );
-                self.patterns.push(PatternEntry {
-                    pattern,
-                    // lint:allow(hot-path-alloc): first-occurrence arm
-                    support: Vec::new(),
-                    // lint:allow(hot-path-alloc): first-occurrence arm
-                    granule_starts: Vec::new(),
-                    // lint:allow(hot-path-alloc): first-occurrence arm
-                    bindings: Vec::new(),
-                });
-                self.pattern_index.insert(key.into(), id);
-                self.groups[group.0 as usize].patterns.push(id);
-                id
-            }
+        debug_assert_eq!(codes.len() + 1, self.k, "interning keys have k - 1 codes");
+        // Newest entries first: the patterns extending the base being walked
+        // sit at the end, so a repeat occurrence is found after a few
+        // compares, and only a new pattern scans the whole group.
+        let width = codes.len();
+        let known = (0..self.open_bases.len()).rev().find(|&e| {
+            self.open_bases[e] == base && self.open_codes[e * width..][..width] == *codes
+        });
+        let group = self.groups.last_mut().expect("a group is open");
+        let id = if let Some(entry) = known {
+            group.patterns[entry]
+        } else {
+            let id = PatternId(u32::try_from(self.patterns.len()).expect("patterns fit u32"));
+            let pattern = make_pattern();
+            debug_assert_eq!(
+                pattern.events(),
+                group.events.as_slice(),
+                "a pattern belongs to the group of its events"
+            );
+            self.patterns.push(PatternEntry {
+                pattern,
+                // lint:allow(hot-path-alloc): first-occurrence arm
+                support: Vec::new(),
+                // lint:allow(hot-path-alloc): first-occurrence arm
+                granule_starts: Vec::new(),
+                // lint:allow(hot-path-alloc): first-occurrence arm
+                bindings: Vec::new(),
+            });
+            group.patterns.push(id);
+            self.open_bases.push(base);
+            self.open_codes.extend_from_slice(codes);
+            id
         };
         let entry = &mut self.patterns[id.0 as usize];
+        let new_granule = match entry.support.last() {
+            Some(&g) if g == granule => false,
+            other => {
+                debug_assert!(other.is_none_or(|&g| g < granule), "granules must ascend");
+                entry.support.push(granule);
+                true
+            }
+        };
         if self.record_bindings {
+            if new_granule {
+                entry
+                    .granule_starts
+                    .push(u32::try_from(entry.bindings.len()).expect("bindings fit u32"));
+            }
             let binding_id =
                 u32::try_from(self.pool.len() / self.k).expect("binding count fits u32");
             self.pool.extend_from_slice(prefix);
             self.pool.push(last);
-            match entry.support.last() {
-                Some(&g) if g == granule => {}
-                other => {
-                    debug_assert!(other.is_none_or(|&g| g < granule), "granules must ascend");
-                    entry.support.push(granule);
-                    entry
-                        .granule_starts
-                        .push(u32::try_from(entry.bindings.len()).expect("bindings fit u32"));
-                }
-            }
             entry.bindings.push(binding_id);
-        } else {
-            // Terminal level: only the support set is maintained.
-            match entry.support.last() {
-                Some(&g) if g == granule => {}
-                other => {
-                    debug_assert!(other.is_none_or(|&g| g < granule), "granules must ascend");
-                    entry.support.push(granule);
-                }
-            }
         }
         id
     }
@@ -788,8 +873,9 @@ impl HlhK {
     /// any group whose pattern list becomes empty — such a group would never
     /// be extended again, so keeping it would only inflate `num_groups()` and
     /// `footprint_bytes()`. The instance pool is compacted alongside, which
-    /// also makes every surviving pattern's bindings contiguous. Returns the
-    /// number of patterns removed.
+    /// also makes every surviving pattern's bindings contiguous, and the
+    /// group index is remapped to the compacted ids. Returns the number of
+    /// patterns removed.
     pub fn retain_candidates(&mut self, config: &ResolvedConfig) -> usize {
         let keep: Vec<bool> = self
             .patterns
@@ -820,18 +906,9 @@ impl HlhK {
         }
         self.patterns = new_patterns;
         self.pool = new_pool;
-        self.pattern_index = self
-            .patterns
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                (
-                    encode_pattern_key(&e.pattern).into_boxed_slice(),
-                    PatternId(u32::try_from(i).expect("patterns fit u32")),
-                )
-            })
-            .collect();
-        // Compact the group arena, dropping groups that lost every pattern.
+        // Compact the group arena, dropping groups that lost every pattern,
+        // and remap the group index onto the surviving ids.
+        let mut group_remap: Vec<Option<GroupId>> = Vec::with_capacity(self.groups.len());
         let mut new_groups = Vec::with_capacity(self.groups.len());
         for mut group in self.groups.drain(..) {
             group.patterns = group
@@ -839,22 +916,24 @@ impl HlhK {
                 .iter()
                 .filter_map(|id| remap[id.0 as usize])
                 .collect();
-            if !group.patterns.is_empty() {
+            if group.patterns.is_empty() {
+                group_remap.push(None);
+            } else {
+                group_remap.push(Some(GroupId(
+                    u32::try_from(new_groups.len()).expect("groups fit u32"),
+                )));
                 new_groups.push(group);
             }
         }
         self.groups = new_groups;
-        self.group_index = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                (
-                    Self::encode_group(&g.events),
-                    GroupId(u32::try_from(i).expect("groups fit u32")),
-                )
-            })
-            .collect();
+        self.group_index
+            .retain(|_, id| match group_remap[id.0 as usize] {
+                Some(new_id) => {
+                    *id = new_id;
+                    true
+                }
+                None => false,
+            });
         removed
     }
 
@@ -866,8 +945,9 @@ impl HlhK {
     /// level identical to the one sequential mining builds.
     ///
     /// # Panics
-    /// Panics when two shards produced the same group or pattern — that
-    /// would mean the shards did not partition the candidate space.
+    /// Panics when two shards produced the same group — that would mean the
+    /// shards did not partition the candidate space — or when a shard still
+    /// has an open group.
     #[must_use]
     pub fn merge_shards(k: usize, shards: Vec<HlhK>) -> Self {
         let mut merged = Self::new(k);
@@ -880,17 +960,12 @@ impl HlhK {
                 shard.record_bindings, merged.record_bindings,
                 "cannot merge terminal and non-terminal shards"
             );
+            assert!(!shard.open, "cannot merge a shard with an open group");
             merged.verdicts.merge_from(shard.verdicts);
             let pattern_offset = u32::try_from(merged.patterns.len()).expect("patterns fit u32");
             let group_offset = u32::try_from(merged.groups.len()).expect("groups fit u32");
             let binding_offset =
                 u32::try_from(merged.pool.len() / k.max(1)).expect("bindings fit u32");
-            for (key, id) in shard.pattern_index {
-                let previous = merged
-                    .pattern_index
-                    .insert(key, PatternId(id.0 + pattern_offset));
-                assert!(previous.is_none(), "pattern produced by two shards");
-            }
             for (key, id) in shard.group_index {
                 let previous = merged.group_index.insert(key, GroupId(id.0 + group_offset));
                 assert!(previous.is_none(), "group produced by two shards");
@@ -937,9 +1012,8 @@ impl HlhK {
         } else {
             [encode_label(b), encode_label(a)]
         };
-        self.group_index
-            .get(&key[..])
-            .is_some_and(|&id| !self.groups[id.0 as usize].patterns.is_empty())
+        // Every registered group holds at least one pattern.
+        self.group_index.contains_key(&key[..])
     }
 
     /// Number of candidate groups.
@@ -974,36 +1048,58 @@ impl HlhK {
         labels
     }
 
+    /// Group and pattern counts and the footprint of the level as it stands.
+    #[must_use]
+    pub fn summary(&self) -> LevelSummary {
+        self.summary_where(|_| true)
+    }
+
+    /// The counts and footprint the level would have after
+    /// [`retain_candidates`](Self::retain_candidates), computed without
+    /// compacting anything — the miner's count-only path for a terminal
+    /// level, which is never read again.
+    #[must_use]
+    pub fn candidate_summary(&self, config: &ResolvedConfig) -> LevelSummary {
+        self.summary_where(|entry| config.is_candidate(entry.support.len()))
+    }
+
     /// Approximate heap footprint in bytes. Depends only on element counts
     /// (never on capacities or map layout), so the sequential and the merged
     /// parallel structures report identical footprints.
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        let group_bytes: usize = self
-            .groups
-            .iter()
-            .map(|entry| {
-                entry.events.len() * std::mem::size_of::<EventLabel>()
-                    + entry.support.len() * std::mem::size_of::<GranulePos>()
-                    + entry.patterns.len() * std::mem::size_of::<PatternId>()
-            })
-            .sum();
-        let pattern_bytes: usize = self
-            .patterns
-            .iter()
-            .map(PatternEntry::footprint_bytes)
-            .sum();
-        let index_bytes: usize = self
-            .group_index
-            .keys() // lint:allow(determinism): commutative sum, order-insensitive
-            .chain(self.pattern_index.keys()) // lint:allow(determinism): same commutative sum
-            .map(|key| key.len() * std::mem::size_of::<u64>())
-            .sum();
-        group_bytes
-            + pattern_bytes
-            + index_bytes
-            + self.pool.len() * std::mem::size_of::<EventInstance>()
-            + self.verdicts.footprint_bytes()
+        self.summary().footprint_bytes
+    }
+
+    /// Counts the patterns `keep` accepts, the groups holding at least one
+    /// of them, and the footprint of a level holding exactly those: their
+    /// arena entries, one group-index key per group, and their bindings'
+    /// pool slots.
+    fn summary_where(&self, keep: impl Fn(&PatternEntry) -> bool) -> LevelSummary {
+        let mut summary = LevelSummary::default();
+        let mut pool_slots = 0usize;
+        for group in &self.groups {
+            let mut kept = 0usize;
+            for &id in &group.patterns {
+                let entry = self.pattern(id);
+                if keep(entry) {
+                    kept += 1;
+                    summary.footprint_bytes += entry.footprint_bytes();
+                    pool_slots += entry.num_bindings() * self.k;
+                }
+            }
+            if kept > 0 {
+                summary.groups += 1;
+                summary.patterns += kept;
+                summary.footprint_bytes += group.events.len()
+                    * (std::mem::size_of::<EventLabel>() + std::mem::size_of::<u64>())
+                    + group.support.len() * std::mem::size_of::<GranulePos>()
+                    + kept * std::mem::size_of::<PatternId>();
+            }
+        }
+        summary.footprint_bytes +=
+            pool_slots * std::mem::size_of::<EventInstance>() + self.verdicts.footprint_bytes();
+        summary
     }
 }
 
@@ -1011,8 +1107,9 @@ impl HlhK {
 // Structural validation (see the `invariants` module). The walks below check
 // every layout invariant the accessors rely on without bounds checks of
 // their own design — CSR offsets monotone and in bounds, index maps
-// consistent with their arenas, pool slot arithmetic exact. Validation
-// outcome is order-insensitive, so iterating the hash indexes is sound.
+// consistent with their arenas, patterns unique within their group, pool
+// slot arithmetic exact. Validation outcome is order-insensitive, so
+// iterating the hash indexes is sound.
 // ---------------------------------------------------------------------------
 
 use crate::invariants::{invariant, InvariantViolation};
@@ -1168,9 +1265,11 @@ impl VerdictTable {
 }
 
 impl HlhK {
-    /// Validates the structural invariants of the level: arena/index
-    /// consistency for groups and patterns (each index is a permutation of
-    /// its arena, and every key re-encodes its entry), strictly ascending
+    /// Validates the structural invariants of the level: no group left
+    /// open, group index consistency (the index is a permutation of the
+    /// arena and every key re-encodes its group), every group non-empty and
+    /// every pattern listed under exactly one group whose events it has, no
+    /// two patterns of one group with the same key, strictly ascending
     /// support sets, monotone in-bounds binding CSR offsets, exact pool slot
     /// arithmetic, and the [`VerdictTable`] block shape.
     ///
@@ -1179,6 +1278,12 @@ impl HlhK {
     pub fn validate(&self) -> Result<(), InvariantViolation> {
         const S: &str = "HlhK";
         invariant!(S, self.k >= 2, "level arity {} below 2", self.k);
+        invariant!(
+            S,
+            !self.open,
+            "group {} is still open",
+            self.groups.len() - 1
+        );
         self.validate_groups()?;
         self.validate_patterns()?;
         invariant!(
@@ -1228,6 +1333,8 @@ impl HlhK {
                 id.0
             );
         }
+        let mut listed = vec![false; self.patterns.len()];
+        let mut keys: Vec<&[RelationTriple]> = Vec::new();
         for (idx, group) in self.groups.iter().enumerate() {
             invariant!(
                 S,
@@ -1246,6 +1353,8 @@ impl HlhK {
                 ascends(&group.support),
                 "support of group {idx} is not strictly ascending"
             );
+            invariant!(S, !group.patterns.is_empty(), "group {idx} has no pattern");
+            keys.clear();
             for &pid in &group.patterns {
                 let Some(entry) = self.patterns.get(pid.0 as usize) else {
                     return Err(InvariantViolation::new(
@@ -1255,47 +1364,40 @@ impl HlhK {
                 };
                 invariant!(
                     S,
+                    !std::mem::replace(&mut listed[pid.0 as usize], true),
+                    "pattern {} is listed twice",
+                    pid.0
+                );
+                invariant!(
+                    S,
                     entry.pattern.events() == group.events.as_slice(),
                     "pattern {} listed under group {idx} has different events",
                     pid.0
                 );
+                keys.push(entry.pattern.triples());
             }
+            // Same events, so a pattern's key within its group is its
+            // triple list: group-local interning must never produce a key
+            // twice.
+            keys.sort_unstable();
+            invariant!(
+                S,
+                keys.windows(2).all(|w| w[0] != w[1]),
+                "two patterns of group {idx} share a key"
+            );
         }
+        invariant!(
+            S,
+            listed.iter().all(|&l| l),
+            "a pattern is listed under no group"
+        );
         Ok(())
     }
 
     fn validate_patterns(&self) -> Result<(), InvariantViolation> {
         const S: &str = "HlhK";
-        invariant!(
-            S,
-            self.pattern_index.len() == self.patterns.len(),
-            "pattern index has {} keys for {} arena entries",
-            self.pattern_index.len(),
-            self.patterns.len()
-        );
-        let mut seen = vec![false; self.patterns.len()];
-        // lint:allow(determinism): order-insensitive validation conjunction
-        for (key, &id) in &self.pattern_index {
-            let Some(entry) = self.patterns.get(id.0 as usize) else {
-                return Err(InvariantViolation::new(
-                    S,
-                    format!("pattern id {} out of range", id.0),
-                ));
-            };
-            invariant!(
-                S,
-                !std::mem::replace(&mut seen[id.0 as usize], true),
-                "pattern id {} indexed twice",
-                id.0
-            );
-            invariant!(
-                S,
-                encode_pattern_key(&entry.pattern) == **key,
-                "pattern index key does not re-encode pattern {}",
-                id.0
-            );
-        }
         let num_bindings = self.pool.len().checked_div(self.k).unwrap_or(0);
+        let mut total_bindings = 0usize;
         for (idx, entry) in self.patterns.iter().enumerate() {
             invariant!(
                 S,
@@ -1310,6 +1412,7 @@ impl HlhK {
                 );
                 continue;
             }
+            total_bindings += entry.bindings.len();
             invariant!(
                 S,
                 entry.granule_starts.len() == entry.support.len(),
@@ -1349,6 +1452,11 @@ impl HlhK {
                 "pattern {idx} binds pool slots past the pool end"
             );
         }
+        invariant!(
+            S,
+            !self.record_bindings || total_bindings == num_bindings,
+            "patterns hold {total_bindings} bindings but the pool holds {num_bindings}"
+        );
         Ok(())
     }
 }
@@ -1357,7 +1465,7 @@ impl HlhK {
 mod tests {
     use super::*;
     use crate::config::{StpmConfig, Threshold};
-    use crate::relation::RelationKind;
+    use crate::relation::{encode_verdict, RelationKind};
     use stpm_timeseries::{
         Alphabet, Interval, SeriesId, SymbolId, SymbolicDatabase, SymbolicSeries,
     };
@@ -1398,17 +1506,18 @@ mod tests {
         EventLabel::new(SeriesId(series), SymbolId(symbol))
     }
 
-    /// Adds one occurrence the way the miner does: key + constructor.
+    /// Adds one occurrence the way the level-2 miner does: the verdict byte
+    /// of the pattern's one relation is its key within the open group.
     fn add(
         hlh: &mut HlhK,
-        group: GroupId,
         pattern: &TemporalPattern,
         granule: GranulePos,
         binding: &[EventInstance],
     ) -> PatternId {
-        let key = encode_pattern_key(pattern);
+        let triple = pattern.triples()[0];
+        let code = encode_verdict(triple.relation, triple.first == 1);
         let (prefix, last) = binding.split_at(binding.len() - 1);
-        hlh.add_pattern_occurrence(group, &key, || pattern.clone(), granule, prefix, last[0])
+        hlh.add_pattern_occurrence(0, &[code], || pattern.clone(), granule, prefix, last[0])
     }
 
     #[test]
@@ -1465,27 +1574,25 @@ mod tests {
 
     #[test]
     fn hlhk_group_and_pattern_bookkeeping() {
-        let cfg = config(1, 1);
         let mut hlh2 = HlhK::new(2);
         assert_eq!(hlh2.k(), 2);
         let group = vec![label(0, 1), label(1, 1)];
-        let gid = hlh2.insert_group(group.clone(), vec![1, 2, 4]);
-        // Re-registering returns the same id.
-        assert_eq!(hlh2.insert_group(group.clone(), vec![9]), gid);
-        assert_eq!(hlh2.num_groups(), 1);
-        assert!(hlh2.group(&group).is_some());
-        assert_eq!(hlh2.group(&group).unwrap().support, vec![1, 2, 4]);
-        assert!(hlh2.group(&[label(0, 0)]).is_none());
-
+        let gid = hlh2.begin_group(&group, &[1, 2, 4]);
         let pattern =
             TemporalPattern::pair([label(0, 1), label(1, 1)], RelationKind::Contains, false);
         let binding = [
             EventInstance::new(label(0, 1), Interval::new(1, 2)),
             EventInstance::new(label(1, 1), Interval::new(1, 1)),
         ];
-        let pid = add(&mut hlh2, gid, &pattern, 1, &binding);
-        assert_eq!(add(&mut hlh2, gid, &pattern, 1, &binding), pid);
-        assert_eq!(add(&mut hlh2, gid, &pattern, 4, &binding), pid);
+        let pid = add(&mut hlh2, &pattern, 1, &binding);
+        assert_eq!(add(&mut hlh2, &pattern, 1, &binding), pid);
+        assert_eq!(add(&mut hlh2, &pattern, 4, &binding), pid);
+        hlh2.end_group();
+        assert_eq!(gid, GroupId(0));
+        assert_eq!(hlh2.num_groups(), 1);
+        assert!(hlh2.group(&group).is_some());
+        assert_eq!(hlh2.group(&group).unwrap().support, vec![1, 2, 4]);
+        assert!(hlh2.group(&[label(0, 0)]).is_none());
 
         assert_eq!(hlh2.num_patterns(), 1);
         let entry = hlh2.pattern(pid);
@@ -1506,7 +1613,177 @@ mod tests {
         assert_eq!(hlh2.participating_events(), vec![label(0, 1), label(1, 1)]);
         assert!(hlh2.footprint_bytes() > 0);
         assert!(!hlh2.is_empty());
-        let _ = cfg;
+        hlh2.validate().unwrap();
+    }
+
+    #[test]
+    fn group_local_interning_tells_keys_apart_within_a_group() {
+        // Level 3: two base patterns of one 2-group, extended with the same
+        // new verdict codes, are different 3-patterns; repeated keys hit.
+        let mut hlh3 = HlhK::new(3);
+        let events = [label(0, 1), label(1, 1), label(2, 1)];
+        hlh3.begin_group(&events, &[1, 2]);
+        let base_a = TemporalPattern::pair([events[0], events[1]], RelationKind::Follows, false);
+        let base_b = TemporalPattern::pair([events[0], events[1]], RelationKind::Contains, false);
+        let binding = [
+            EventInstance::new(events[0], Interval::new(1, 1)),
+            EventInstance::new(events[1], Interval::new(2, 2)),
+        ];
+        let last = EventInstance::new(events[2], Interval::new(3, 3));
+        let codes = [
+            encode_verdict(RelationKind::Follows, false),
+            encode_verdict(RelationKind::Follows, false),
+        ];
+        let extend = |base: &TemporalPattern| {
+            base.extended(
+                events[2],
+                vec![
+                    RelationTriple::new(RelationKind::Follows, 0, 2),
+                    RelationTriple::new(RelationKind::Follows, 1, 2),
+                ],
+            )
+        };
+        let a = hlh3.add_pattern_occurrence(7, &codes, || extend(&base_a), 1, &binding, last);
+        let b = hlh3.add_pattern_occurrence(9, &codes, || extend(&base_b), 1, &binding, last);
+        assert_ne!(a, b);
+        let again = hlh3.add_pattern_occurrence(7, &codes, || unreachable!(), 2, &binding, last);
+        assert_eq!(again, a);
+        hlh3.end_group();
+        assert_eq!(hlh3.num_patterns(), 2);
+        assert_eq!(hlh3.pattern(a).support, vec![1, 2]);
+        hlh3.validate().unwrap();
+    }
+
+    #[test]
+    fn interning_tells_every_level_three_code_pair_apart() {
+        // All 36 new-relation code pairs under one base are distinct
+        // patterns, and a second pass finds each again.
+        let mut hlh3 = HlhK::new_terminal(3);
+        let events = [label(0, 1), label(1, 1), label(2, 1)];
+        hlh3.begin_group(&events, &[1]);
+        let binding = [
+            EventInstance::new(events[0], Interval::new(1, 1)),
+            EventInstance::new(events[1], Interval::new(2, 2)),
+        ];
+        let last = EventInstance::new(events[2], Interval::new(3, 3));
+        let mut ids = Vec::new();
+        for round in 0..2 {
+            for first in 1..=6u8 {
+                for second in 1..=6u8 {
+                    let make = || {
+                        let triple = |code: u8, idx: u8| {
+                            let (kind, swapped) = crate::relation::decode_verdict(code).unwrap();
+                            if swapped {
+                                RelationTriple::new(kind, 2, idx)
+                            } else {
+                                RelationTriple::new(kind, idx, 2)
+                            }
+                        };
+                        TemporalPattern::from_parts(
+                            events.to_vec(),
+                            vec![
+                                RelationTriple::new(RelationKind::Follows, 0, 1),
+                                triple(first, 0),
+                                triple(second, 1),
+                            ],
+                        )
+                    };
+                    let id =
+                        hlh3.add_pattern_occurrence(0, &[first, second], make, 1, &binding, last);
+                    if round == 0 {
+                        ids.push(id);
+                    } else {
+                        assert_eq!(
+                            id,
+                            ids[usize::from(first - 1) * 6 + usize::from(second - 1)]
+                        );
+                    }
+                }
+            }
+        }
+        hlh3.end_group();
+        assert_eq!(hlh3.num_patterns(), 36);
+        hlh3.validate().unwrap();
+    }
+
+    #[test]
+    fn a_group_closed_without_patterns_is_dropped() {
+        let mut hlh2 = HlhK::new(2);
+        let empty = vec![label(0, 0), label(1, 0)];
+        hlh2.begin_group(&empty, &[1, 2]);
+        hlh2.end_group();
+        assert_eq!(hlh2.num_groups(), 0);
+        assert!(hlh2.group(&empty).is_none());
+        // The next group takes the dropped group's id.
+        let group = vec![label(0, 1), label(1, 1)];
+        let gid = hlh2.begin_group(&group, &[3]);
+        assert_eq!(gid, GroupId(0));
+        let pattern = TemporalPattern::pair([group[0], group[1]], RelationKind::Follows, false);
+        let binding = [
+            EventInstance::new(group[0], Interval::new(1, 1)),
+            EventInstance::new(group[1], Interval::new(2, 2)),
+        ];
+        add(&mut hlh2, &pattern, 3, &binding);
+        hlh2.end_group();
+        assert_eq!(hlh2.group(&group).unwrap().support, vec![3]);
+        hlh2.validate().unwrap();
+    }
+
+    #[test]
+    fn reopening_a_closed_group_is_rejected() {
+        let group = vec![label(0, 1), label(1, 1)];
+        let pattern = TemporalPattern::pair([group[0], group[1]], RelationKind::Follows, false);
+        let binding = [
+            EventInstance::new(group[0], Interval::new(1, 1)),
+            EventInstance::new(group[1], Interval::new(2, 2)),
+        ];
+        let mut hlh2 = HlhK::new(2);
+        hlh2.begin_group(&group, &[1, 2]);
+        add(&mut hlh2, &pattern, 1, &binding);
+        hlh2.end_group();
+        // A second stretch for the same group would intern `pattern` afresh.
+        let reopened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            hlh2.begin_group(&group, &[1, 2]);
+            add(&mut hlh2, &pattern, 2, &binding);
+            hlh2.end_group();
+        }));
+        if crate::invariants::strict_checks_enabled() {
+            let payload = reopened.expect_err("strict checks reject the reopened group");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("reopened"), "{message}");
+        } else {
+            reopened.unwrap();
+            assert!(
+                hlh2.validate().is_err(),
+                "validate rejects the reopened group"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_rejects_two_patterns_of_one_group_with_the_same_key() {
+        let group = vec![label(0, 1), label(1, 1)];
+        let pattern = TemporalPattern::pair([group[0], group[1]], RelationKind::Follows, false);
+        let binding = [
+            EventInstance::new(group[0], Interval::new(1, 1)),
+            EventInstance::new(group[1], Interval::new(2, 2)),
+        ];
+        let mut hlh2 = HlhK::new_terminal(2);
+        hlh2.begin_group(&group, &[1]);
+        add(&mut hlh2, &pattern, 1, &binding);
+        hlh2.end_group();
+        hlh2.validate().unwrap();
+        // Forge what a broken interner would leave: a second arena entry
+        // for the same pattern, listed under the same group.
+        let duplicate = hlh2.patterns[0].clone();
+        hlh2.patterns.push(duplicate);
+        hlh2.groups[0].patterns.push(PatternId(1));
+        let violation = hlh2.validate().unwrap_err();
+        assert!(
+            violation.detail.contains("share a key"),
+            "{}",
+            violation.detail
+        );
     }
 
     #[test]
@@ -1516,9 +1793,6 @@ mod tests {
         let mut hlh2 = HlhK::new(2);
         let group_a = vec![label(0, 1), label(1, 1)];
         let group_b = vec![label(0, 1), label(1, 0)];
-        let ga = hlh2.insert_group(group_a.clone(), vec![1, 2]);
-        let gb = hlh2.insert_group(group_b.clone(), vec![3]);
-
         let strong =
             TemporalPattern::pair([label(0, 1), label(1, 1)], RelationKind::Follows, false);
         let weak = TemporalPattern::pair([label(0, 1), label(1, 0)], RelationKind::Follows, false);
@@ -1526,9 +1800,13 @@ mod tests {
             EventInstance::new(label(0, 1), Interval::new(1, 1)),
             EventInstance::new(label(1, 1), Interval::new(2, 2)),
         ];
-        add(&mut hlh2, ga, &strong, 1, &binding);
-        add(&mut hlh2, ga, &strong, 2, &binding);
-        add(&mut hlh2, gb, &weak, 3, &binding);
+        hlh2.begin_group(&group_a, &[1, 2]);
+        add(&mut hlh2, &strong, 1, &binding);
+        add(&mut hlh2, &strong, 2, &binding);
+        hlh2.end_group();
+        hlh2.begin_group(&group_b, &[3]);
+        add(&mut hlh2, &weak, 3, &binding);
+        hlh2.end_group();
 
         assert_eq!(hlh2.num_patterns(), 2);
         let footprint_before = hlh2.footprint_bytes();
@@ -1547,8 +1825,155 @@ mod tests {
         // The pool was compacted alongside (2 surviving bindings × k = 2).
         assert_eq!(hlh2.pool.len(), 4);
         assert_eq!(hlh2.bindings_at(PatternId(0), 2).count(), 1);
+        hlh2.validate().unwrap();
         // Retaining again removes nothing.
         assert_eq!(hlh2.retain_candidates(&cfg), 0);
+    }
+
+    /// A terminal level 3 with three groups: one keeps both patterns, one
+    /// keeps one of two, one loses its only pattern to the `maxSeason` gate.
+    fn terminal_level() -> HlhK {
+        // Per group: the relation of each base 2-pattern, and the granules
+        // where its extension (Follows to the new event from both members)
+        // occurs.
+        let groups: [&[(RelationKind, &[GranulePos])]; 3] = [
+            &[
+                (RelationKind::Follows, &[1, 2, 3]),
+                (RelationKind::Contains, &[1, 5]),
+            ],
+            &[
+                (RelationKind::Follows, &[4]),
+                (RelationKind::Contains, &[2, 4, 6]),
+            ],
+            &[(RelationKind::Follows, &[7])],
+        ];
+        let follows = encode_verdict(RelationKind::Follows, false);
+        let mut hlh3 = HlhK::new_terminal(3);
+        for (series, bases) in (0u32..).zip(groups) {
+            let events = [label(series, 0), label(series, 1), label(9, 0)];
+            let binding = [
+                EventInstance::new(events[0], Interval::new(1, 1)),
+                EventInstance::new(events[1], Interval::new(2, 2)),
+            ];
+            let last = EventInstance::new(events[2], Interval::new(3, 3));
+            hlh3.begin_group(&events, &[1, 2, 3, 4, 5, 6, 7]);
+            for (base, &(kind, support)) in (0u32..).zip(bases) {
+                let make = || {
+                    TemporalPattern::pair([events[0], events[1]], kind, false).extended(
+                        events[2],
+                        vec![
+                            RelationTriple::new(RelationKind::Follows, 0, 2),
+                            RelationTriple::new(RelationKind::Follows, 1, 2),
+                        ],
+                    )
+                };
+                for &granule in support {
+                    hlh3.add_pattern_occurrence(
+                        base,
+                        &[follows, follows],
+                        make,
+                        granule,
+                        &binding,
+                        last,
+                    );
+                }
+            }
+            hlh3.end_group();
+        }
+        hlh3
+    }
+
+    #[test]
+    fn count_only_terminal_summary_matches_an_explicit_retain() {
+        // minDensity 1, minSeason 2 → a candidate needs support >= 2.
+        let cfg = config(1, 2);
+        let level = terminal_level();
+        level.validate().unwrap();
+        let counted = level.candidate_summary(&cfg);
+        let mut compacted = level.clone();
+        assert_eq!(compacted.retain_candidates(&cfg), 2);
+        compacted.validate().unwrap();
+        assert_eq!(counted, compacted.summary());
+        assert_eq!(counted.groups, 2);
+        assert_eq!(counted.patterns, 3);
+        assert_eq!(counted.groups, compacted.num_groups());
+        assert_eq!(counted.patterns, compacted.num_patterns());
+        assert_eq!(counted.footprint_bytes, compacted.footprint_bytes());
+        // Counting everything is the level's own summary.
+        assert_eq!(level.summary().patterns, level.num_patterns());
+        assert_eq!(level.summary().footprint_bytes, level.footprint_bytes());
+        // Frequent ⇒ candidate: every pattern the retain kept is one the
+        // count-only path visits in the same relative order.
+        let kept: Vec<_> = level
+            .patterns()
+            .iter()
+            .filter(|p| cfg.is_candidate(p.support.len()))
+            .map(|p| &p.pattern)
+            .collect();
+        let retained: Vec<_> = compacted.patterns().iter().map(|p| &p.pattern).collect();
+        assert_eq!(kept, retained);
+    }
+
+    /// Five binary series over 120 instants from a fixed LCG, mapped to 40
+    /// granules of three instants.
+    fn lcg_dseq() -> SequenceDatabase {
+        let alphabet = Alphabet::from_strs(&["0", "1"]).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let series = (0..5)
+            .map(|s| {
+                let labels: Vec<&str> = (0..120)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        if (state >> 33).is_multiple_of(3) {
+                            "0"
+                        } else {
+                            "1"
+                        }
+                    })
+                    .collect();
+                SymbolicSeries::from_labels(&format!("S{s}"), &labels, alphabet.clone()).unwrap()
+            })
+            .collect();
+        SymbolicDatabase::new(series)
+            .unwrap()
+            .to_sequence_database(3)
+            .unwrap()
+    }
+
+    #[test]
+    fn level_three_counts_agree_whether_it_is_terminal_or_not() {
+        use crate::miner::StpmMiner;
+        let dseq = lcg_dseq();
+        let config = |max_pattern_len| StpmConfig {
+            max_period: Threshold::Absolute(2),
+            min_density: Threshold::Absolute(2),
+            dist_interval: (3, 12),
+            min_season: 2,
+            max_pattern_len,
+            ..StpmConfig::default()
+        };
+        let terminal = StpmMiner::mine_sequences(&dseq, &config(3)).unwrap();
+        let extended = StpmMiner::mine_sequences(&dseq, &config(4)).unwrap();
+        let level3 = |report: &crate::report::MiningReport| {
+            *report
+                .stats()
+                .levels
+                .iter()
+                .find(|l| l.k == 3)
+                .expect("the run reaches level 3")
+        };
+        let (counted, retained) = (level3(&terminal), level3(&extended));
+        assert!(counted.candidate_patterns > 0, "level 3 holds candidates");
+        assert_eq!(counted.candidate_groups, retained.candidate_groups);
+        assert_eq!(counted.candidate_patterns, retained.candidate_patterns);
+        assert_eq!(counted.frequent_patterns, retained.frequent_patterns);
+        assert_eq!(
+            counted.classifier_calls_saved,
+            retained.classifier_calls_saved
+        );
+        assert_eq!(terminal.patterns_of_len(3), extended.patterns_of_len(3));
     }
 
     #[test]
@@ -1567,13 +1992,16 @@ mod tests {
             TemporalPattern::pair([label(0, 1), label(1, 1)], RelationKind::Contains, false);
 
         let mut shard1 = HlhK::new(2);
-        let g1 = shard1.insert_group(group_a.clone(), vec![1, 2]);
-        add(&mut shard1, g1, &pattern_a, 1, &binding(0, 0));
+        shard1.begin_group(&group_a, &[1, 2]);
+        add(&mut shard1, &pattern_a, 1, &binding(0, 0));
+        shard1.end_group();
         let mut shard2 = HlhK::new(2);
-        let g2 = shard2.insert_group(group_b.clone(), vec![3]);
-        add(&mut shard2, g2, &pattern_b, 3, &binding(1, 1));
+        shard2.begin_group(&group_b, &[3]);
+        add(&mut shard2, &pattern_b, 3, &binding(1, 1));
+        shard2.end_group();
 
         let merged = HlhK::merge_shards(2, vec![shard1, shard2]);
+        merged.validate().unwrap();
         assert_eq!(merged.num_groups(), 2);
         assert_eq!(merged.num_patterns(), 2);
         // Shard order is preserved in the pattern arena.
@@ -1597,10 +2025,18 @@ mod tests {
     #[should_panic(expected = "group produced by two shards")]
     fn merge_shards_rejects_overlapping_shards() {
         let group = vec![label(0, 0), label(1, 0)];
-        let mut shard1 = HlhK::new(2);
-        shard1.insert_group(group.clone(), vec![1]);
-        let mut shard2 = HlhK::new(2);
-        shard2.insert_group(group, vec![1]);
-        let _ = HlhK::merge_shards(2, vec![shard1, shard2]);
+        let pattern = TemporalPattern::pair([group[0], group[1]], RelationKind::Follows, false);
+        let binding = [
+            EventInstance::new(group[0], Interval::new(1, 1)),
+            EventInstance::new(group[1], Interval::new(2, 2)),
+        ];
+        let shard = || {
+            let mut shard = HlhK::new(2);
+            shard.begin_group(&group, &[1]);
+            add(&mut shard, &pattern, 1, &binding);
+            shard.end_group();
+            shard
+        };
+        let _ = HlhK::merge_shards(2, vec![shard(), shard()]);
     }
 }

@@ -36,7 +36,8 @@
 //!
 //! # Level-2 reuse at k ≥ 3
 //!
-//! The k ≥ 3 loop never re-derives what level 2 already knows:
+//! The k ≥ 3 loop never re-derives what level 2 already knows, and keeps
+//! its per-occurrence work to a few byte loads:
 //!
 //! * extension candidates of a (k-1)-group are enumerated from the bitwise
 //!   AND of the members' [`RelationAdjacency`] rows (one pass instead of a
@@ -48,10 +49,23 @@
 //!   recorded while mining level 2 (counted in
 //!   [`LevelStats::classifier_calls_saved`]); the closed-form classifier
 //!   remains as the fallback for unrecorded pairs and as the debug-build
-//!   cross-check;
+//!   cross-check. The granules of one (pattern, `E_k`) walk ascend, so each
+//!   member's verdict block and `HLH_1` instance slice are reached by
+//!   forward cursors ([`SupportCursor`]) instead of a binary search per
+//!   granule;
+//! * a new k-group comes out of exactly one (group, `E_k`) stretch of the
+//!   loop, and each of its patterns extends exactly one (k-1)-pattern, so
+//!   patterns are interned per group ([`HlhK::begin_group`]) by the base
+//!   pattern's id plus the verdict bytes of the new relations — the same
+//!   bytes the table lookup produced — instead of hashing a packed pattern
+//!   key into a level-wide index;
 //! * the last level of a run is mined *terminal* ([`HlhK::new_terminal`]):
 //!   nothing ever reads its bindings, so the binding pool — the bulk of a
-//!   level's footprint — is never populated.
+//!   level's footprint — is never populated. With the Apriori-like pruning
+//!   on it is not compacted either: [`HlhK::candidate_summary`] counts the
+//!   candidates `retain_candidates` would keep, and the frequent patterns
+//!   (all of them candidates) are read from the uncompacted arena in the
+//!   same order.
 //!
 //! # Batch vs streaming
 //!
@@ -69,22 +83,23 @@
 use crate::config::{ResolvedConfig, StpmConfig};
 use crate::engine::{phases, EngineReport, MiningEngine, MiningInput, PhaseTiming, PruningSummary};
 use crate::error::Result;
-use crate::hlh::{EventEntry, GroupEntry, GroupId, Hlh1, HlhK, PairVerdicts, RelationAdjacency};
-use crate::pattern::{encode_label, encode_triple, RelationTriple, TemporalPattern};
+use crate::hlh::{EventEntry, GroupEntry, Hlh1, HlhK, PairVerdicts, RelationAdjacency};
+use crate::pattern::{RelationTriple, TemporalPattern};
 use crate::relation::{
     chronological_order, classify_relation, decode_verdict, encode_verdict, VERDICT_NONE,
 };
 use crate::report::{LevelStats, MinedEvent, MinedPattern, MiningReport, MiningStats};
 use crate::season::{find_seasons, support_is_frequent};
 use crate::support::{
-    intersect_into, intersect_positions_into, intersect_rows_into, iter_set_bits, SupportSet,
+    intersect_into, intersect_positions_into, intersect_rows_into, iter_set_bits, SupportCursor,
+    SupportSet,
 };
 use std::ops::Range;
 use std::time::Instant;
 use stpm_timeseries::{EventInstance, EventLabel, SequenceDatabase};
 
 /// Per-shard scratch buffers threaded through the chunk miners: support
-/// intersections, match positions, interning keys and relation triples all
+/// intersections, match positions, group events and verdict codes all
 /// reuse their capacity across candidates instead of allocating per
 /// candidate. Each shard owns one `Scratch`, so the parallel path needs no
 /// synchronisation around them.
@@ -99,10 +114,11 @@ struct Scratch {
     pos_a: Vec<u32>,
     /// Positions of the intersection matches in the right input.
     pos_b: Vec<u32>,
-    /// Packed interning key under construction.
-    key: Vec<u64>,
-    /// Relation triples of the occurrence under construction.
-    triples: Vec<RelationTriple>,
+    /// Events of the k-group under construction.
+    events: Vec<EventLabel>,
+    /// Verdict codes of the occurrence under construction: `codes[i]`
+    /// relates binding member `i` to the extension instance.
+    codes: Vec<u8>,
     /// Bitwise-AND of the group members' adjacency rows.
     row: Vec<u64>,
     /// The enumerated extension events of the current group.
@@ -246,10 +262,21 @@ impl ExactRun<'_> {
                 }
                 _ => unreachable!("levels are mined in increasing k"),
             };
-            if apriori {
+            // The terminal level is never read again, so with Apriori-like
+            // pruning on it is counted as `retain_candidates` would leave it
+            // instead of being compacted; every frequent pattern is a
+            // candidate, so the arena walk below emits the same patterns in
+            // the same order either way.
+            let count_only = apriori && terminal;
+            if apriori && !terminal {
                 hlhk.retain_candidates(&self.config);
             }
             crate::invariants::debug_validate!(hlhk.validate());
+            let summary = if count_only {
+                hlhk.candidate_summary(&self.config)
+            } else {
+                hlhk.summary()
+            };
             if k == 2 && !terminal && self.config.pruning.transitivity_enabled() {
                 // Built after retain_candidates so the bit matrix matches
                 // exactly what has_relation_between would answer at k >= 3.
@@ -261,6 +288,7 @@ impl ExactRun<'_> {
                 // Allocation-free early-exit frequency check; seasons are
                 // materialised only for the survivors.
                 if support_is_frequent(&entry.support, &self.config) {
+                    debug_assert!(self.config.is_candidate(entry.support.len()));
                     frequent += 1;
                     patterns_out.push(MinedPattern::new(
                         entry.pattern.clone(),
@@ -269,7 +297,7 @@ impl ExactRun<'_> {
                     ));
                 }
             }
-            let level_footprint = hlhk.footprint_bytes();
+            let level_footprint = summary.footprint_bytes;
             let live_footprint = hlh1_footprint
                 + adjacency
                     .as_ref()
@@ -280,14 +308,14 @@ impl ExactRun<'_> {
             peak_footprint = peak_footprint.max(live_footprint);
             level_stats.push(LevelStats {
                 k,
-                candidate_groups: hlhk.num_groups(),
-                candidate_patterns: hlhk.num_patterns(),
+                candidate_groups: summary.groups,
+                candidate_patterns: summary.patterns,
                 frequent_patterns: frequent,
                 footprint_bytes: level_footprint,
                 classifier_calls_saved: counters.classifier_calls_saved,
                 adjacency_pruned_candidates: counters.adjacency_pruned_candidates,
             });
-            let empty = hlhk.is_empty();
+            let empty = summary.patterns == 0;
             if k == 2 {
                 hlh2 = Some(hlhk);
             } else {
@@ -402,15 +430,17 @@ impl ExactRun<'_> {
     }
 
     /// Mines one shard of the candidate pair space into a local `HLH_2`.
-    /// A group is registered lazily, on its first candidate pattern: a pair
-    /// whose instances never classify into a relation contributes no
-    /// candidates and must not inflate the level's group count.
+    /// Each pair is one group stretch ([`HlhK::begin_group`] …
+    /// [`HlhK::end_group`]); a pair whose instances never classify into a
+    /// relation contributes no candidates, and closing it drops the group so
+    /// it does not inflate the level's group count.
     ///
     /// The loop is allocation-free per occurrence: the support intersection
     /// reuses the shard's scratch buffers, instance slices are reached
     /// through the recorded intersection positions (no binary search per
-    /// granule), the pattern is identified by a three-word stack key, and
-    /// the binding is appended straight into the level's instance pool.
+    /// granule), the pattern is interned within its group by its one
+    /// verdict byte, and the binding is appended straight into the level's
+    /// instance pool.
     ///
     /// Unless `terminal`, every cross-product cell's verdict — including the
     /// "no relation" outcome — is appended to the verdict table in row-major
@@ -447,8 +477,7 @@ impl ExactRun<'_> {
             if apriori && !self.config.is_candidate(scratch.support.len()) {
                 continue;
             }
-            let (enc_i, enc_j) = (encode_label(ei), encode_label(ej));
-            let mut group_id: Option<GroupId> = None;
+            hlh2.begin_group(&[ei, ej], &scratch.support);
             if record_verdicts {
                 hlh2.verdict_table_mut().begin_pair(ei, ej);
             }
@@ -460,36 +489,17 @@ impl ExactRun<'_> {
                 }
                 for a in instances_i.iter() {
                     for b in instances_j.iter() {
-                        let in_order = chronological_order(&a.interval, &b.interval, 0u8, 1u8);
-                        let (first, second) = if in_order { (a, b) } else { (b, a) };
-                        let verdict = classify_relation(
-                            &first.interval,
-                            &second.interval,
-                            self.config.epsilon,
-                            self.config.min_overlap,
-                        );
+                        let code = self.classify_verdict(a, b, 0, 1);
                         if record_verdicts {
-                            hlh2.verdict_table_mut().push_verdict(
-                                verdict
-                                    .map_or(VERDICT_NONE, |kind| encode_verdict(kind, !in_order)),
-                            );
+                            hlh2.verdict_table_mut().push_verdict(code);
                         }
-                        let Some(kind) = verdict else {
+                        if code == VERDICT_NONE {
                             continue;
-                        };
-                        let triple = if in_order {
-                            RelationTriple::new(kind, 0, 1)
-                        } else {
-                            RelationTriple::new(kind, 1, 0)
-                        };
-                        let key = [enc_i, enc_j, encode_triple(triple)];
-                        let group = *group_id.get_or_insert_with(|| {
-                            hlh2.insert_group(vec![ei, ej], scratch.support.clone())
-                        });
+                        }
                         hlh2.add_pattern_occurrence(
-                            group,
-                            &key,
-                            || TemporalPattern::pair([ei, ej], kind, !in_order),
+                            0,
+                            &[code],
+                            || TemporalPattern::from_parts(vec![ei, ej], new_triples(&[code], 1)),
                             granule,
                             std::slice::from_ref(a),
                             *b,
@@ -497,6 +507,7 @@ impl ExactRun<'_> {
                     }
                 }
             }
+            hlh2.end_group();
         }
         (hlh2, LevelCounters::default())
     }
@@ -554,11 +565,7 @@ impl ExactRun<'_> {
             }
             mask
         });
-        let groups: Vec<&GroupEntry> = prev
-            .groups()
-            .into_iter()
-            .filter(|entry| !entry.patterns.is_empty())
-            .collect();
+        let groups: Vec<&GroupEntry> = prev.groups();
         // A group's extension work scales with the occurrences of its
         // candidate patterns (every binding is a potential extension seed).
         let shard_ranges = |threads: usize| {
@@ -593,20 +600,21 @@ impl ExactRun<'_> {
     ///
     /// Like the pair miner, the extension loop performs no per-occurrence
     /// allocation: the group/extendable intersections reuse the shard's
-    /// scratch buffers, the interning key of an extended pattern is built
-    /// incrementally in a scratch word buffer (events + base triples are
-    /// shared prefixes, only the new triples vary per occurrence), bindings
-    /// of the previous level are read as pool slices, and the extended
-    /// binding is appended to the new level's pool without materialising an
-    /// owned vector. A [`TemporalPattern`] is only constructed the first
+    /// scratch buffers, bindings of the previous level are read as pool
+    /// slices, and the extended binding is appended to the new level's pool
+    /// without materialising an owned vector. Every (group, `E_k`)
+    /// combination is one group stretch of the new level, and an
+    /// occurrence's key within it is the base pattern's id plus its `k − 1`
+    /// verdict bytes; a [`TemporalPattern`] is only constructed the first
     /// time its key appears.
     ///
     /// Relation verdicts between a binding member and an extension instance
     /// are read from the level-2 verdict table: the pair handle is resolved
-    /// once per (group, `E_k`), the granule block once per granule, and the
-    /// member's row once per binding, so the per-cell cost is one byte load.
-    /// Cells the table does not cover fall back to the closed-form
-    /// classifier; in debug builds every hit is cross-checked against it.
+    /// once per (group, `E_k`), the granule block once per granule by a
+    /// forward cursor, and the member's row once per binding, so the
+    /// per-cell cost is one byte load. Cells the table does not cover fall
+    /// back to the closed-form classifier; in debug builds every hit is
+    /// cross-checked against it.
     #[allow(clippy::too_many_arguments)]
     fn mine_k_events_chunk(
         &self,
@@ -638,6 +646,9 @@ impl ExactRun<'_> {
         let mut member_rows: Vec<&[u64]> = Vec::new();
         let mut member_entries: Vec<&EventEntry> = Vec::new();
         let mut member_pairs: Vec<Option<PairVerdicts<'_>>> = Vec::new();
+        // Per member: cursors over the pair's verdict granules and over the
+        // member's HLH_1 support, restarted for every (pattern, E_k) walk.
+        let mut member_cursors: Vec<(SupportCursor, SupportCursor)> = Vec::new();
         let mut member_blocks: Vec<Option<(&[u8], &[EventInstance])>> = Vec::new();
         let mut binding_rows: Vec<Option<&[u8]>> = Vec::new();
         for &group_entry in groups {
@@ -685,15 +696,10 @@ impl ExactRun<'_> {
                 if apriori && !self.config.is_candidate(scratch.group_support.len()) {
                     continue;
                 }
-                let mut group_id: Option<GroupId> = None;
-                // Interning-key prefix shared by every pattern of this
-                // (group, E_k) combination: the packed new-group events.
-                scratch.key.clear();
-                scratch
-                    .key
-                    .extend(group_events.iter().copied().map(encode_label));
-                scratch.key.push(encode_label(ek));
-                let events_len = scratch.key.len();
+                scratch.events.clear();
+                scratch.events.extend_from_slice(group_events);
+                scratch.events.push(ek);
+                hlhk.begin_group(&scratch.events, &scratch.group_support);
                 // Verdict-table pair handles, one per member (every member
                 // label is smaller than E_k, matching the recorded order).
                 member_pairs.clear();
@@ -703,19 +709,6 @@ impl ExactRun<'_> {
 
                 for &pid in &group_entry.patterns {
                     let pattern_entry = prev.pattern(pid);
-                    // The base pattern's canonical triples are a shared
-                    // prefix too: new triples all involve the (largest) new
-                    // event index, so they sort after every base triple.
-                    scratch.key.truncate(events_len);
-                    scratch.key.extend(
-                        pattern_entry
-                            .pattern
-                            .triples()
-                            .iter()
-                            .copied()
-                            .map(encode_triple),
-                    );
-                    let base_len = scratch.key.len();
                     intersect_positions_into(
                         &pattern_entry.support,
                         &ek_entry.support,
@@ -723,6 +716,8 @@ impl ExactRun<'_> {
                         &mut scratch.pos_a,
                         &mut scratch.pos_b,
                     );
+                    member_cursors.clear();
+                    member_cursors.resize(group_events.len(), Default::default());
                     for m in 0..scratch.support.len() {
                         let granule = scratch.support[m];
                         let ek_instances = ek_entry.instances_at_index(scratch.pos_b[m] as usize);
@@ -732,9 +727,10 @@ impl ExactRun<'_> {
                         // instance slice once per granule.
                         member_blocks.clear();
                         for (idx, entry) in member_entries.iter().enumerate() {
+                            let (pair_cursor, instance_cursor) = &mut member_cursors[idx];
                             member_blocks.push(member_pairs[idx].and_then(|pair| {
-                                let block = pair.block(granule)?;
-                                let instances = entry.instances_at(granule);
+                                let block = pair.block_at_cursor(pair_cursor, granule)?;
+                                let instances = entry.instances_at_cursor(instance_cursor, granule);
                                 debug_assert_eq!(
                                     block.len(),
                                     instances.len() * cols,
@@ -771,28 +767,16 @@ impl ExactRun<'_> {
                             }
                             'instances: for (ek_idx, ek_instance) in ek_instances.iter().enumerate()
                             {
-                                if binding.contains(ek_instance) {
-                                    continue;
-                                }
-                                scratch.triples.clear();
-                                scratch.key.truncate(base_len);
+                                debug_assert!(!binding.contains(ek_instance), "E_k is new");
+                                scratch.codes.clear();
                                 for (idx, bound) in binding.iter().enumerate() {
                                     let idx_u8 = u8::try_from(idx).expect("pattern length fits u8");
-                                    let triple = match binding_rows[idx] {
+                                    let code = match binding_rows[idx] {
                                         Some(row) => {
                                             counters.classifier_calls_saved += 1;
-                                            let triple = decode_verdict(row[ek_idx]).map(
-                                                |(kind, swapped)| {
-                                                    if swapped {
-                                                        RelationTriple::new(kind, new_index, idx_u8)
-                                                    } else {
-                                                        RelationTriple::new(kind, idx_u8, new_index)
-                                                    }
-                                                },
-                                            );
                                             debug_assert_eq!(
-                                                triple,
-                                                self.classify_instance_pair(
+                                                row[ek_idx],
+                                                self.classify_verdict(
                                                     bound,
                                                     ek_instance,
                                                     idx_u8,
@@ -800,41 +784,28 @@ impl ExactRun<'_> {
                                                 ),
                                                 "verdict table diverged from the classifier"
                                             );
-                                            triple
+                                            row[ek_idx]
                                         }
-                                        None => self.classify_instance_pair(
+                                        None => self.classify_verdict(
                                             bound,
                                             ek_instance,
                                             idx_u8,
                                             new_index,
                                         ),
                                     };
-                                    match triple {
-                                        Some(t) => {
-                                            scratch.triples.push(t);
-                                            scratch.key.push(encode_triple(t));
-                                        }
-                                        None => continue 'instances,
+                                    if code == VERDICT_NONE {
+                                        continue 'instances;
                                     }
+                                    scratch.codes.push(code);
                                 }
-                                let group = match group_id {
-                                    Some(g) => g,
-                                    None => {
-                                        let events: Vec<EventLabel> = group_events
-                                            .iter()
-                                            .copied()
-                                            .chain(std::iter::once(ek))
-                                            .collect();
-                                        let g = hlhk
-                                            .insert_group(events, scratch.group_support.clone());
-                                        group_id = Some(g);
-                                        g
-                                    }
-                                };
                                 hlhk.add_pattern_occurrence(
-                                    group,
-                                    &scratch.key,
-                                    || pattern_entry.pattern.extended(ek, scratch.triples.clone()),
+                                    pid.0,
+                                    &scratch.codes,
+                                    || {
+                                        pattern_entry
+                                            .pattern
+                                            .extended(ek, new_triples(&scratch.codes, new_index))
+                                    },
                                     granule,
                                     binding,
                                     *ek_instance,
@@ -843,41 +814,49 @@ impl ExactRun<'_> {
                         }
                     }
                 }
+                hlhk.end_group();
             }
         }
         (hlhk, counters)
     }
 
-    /// The closed-form relation classification of one (binding-member,
-    /// extension-instance) pair — the verdict-table fallback and the
-    /// debug-build cross-check.
+    /// The closed-form relation verdict of one instance pair, as an
+    /// [`encode_verdict`] byte ([`VERDICT_NONE`] when no relation holds):
+    /// `a` is the event at pattern index `idx`, `b` the one at `new_index`,
+    /// and the verdict is swapped when `b`'s instance comes first. This is
+    /// what level 2 records and what level k falls back to for cells the
+    /// verdict table does not cover.
     // lint: hot-path
-    fn classify_instance_pair(
-        &self,
-        bound: &EventInstance,
-        ek_instance: &EventInstance,
-        idx: u8,
-        new_index: u8,
-    ) -> Option<RelationTriple> {
-        let in_order = chronological_order(&bound.interval, &ek_instance.interval, idx, new_index);
-        if in_order {
-            classify_relation(
-                &bound.interval,
-                &ek_instance.interval,
-                self.config.epsilon,
-                self.config.min_overlap,
-            )
-            .map(|r| RelationTriple::new(r, idx, new_index))
-        } else {
-            classify_relation(
-                &ek_instance.interval,
-                &bound.interval,
-                self.config.epsilon,
-                self.config.min_overlap,
-            )
-            .map(|r| RelationTriple::new(r, new_index, idx))
-        }
+    fn classify_verdict(&self, a: &EventInstance, b: &EventInstance, idx: u8, new_index: u8) -> u8 {
+        let in_order = chronological_order(&a.interval, &b.interval, idx, new_index);
+        let (first, second) = if in_order { (a, b) } else { (b, a) };
+        classify_relation(
+            &first.interval,
+            &second.interval,
+            self.config.epsilon,
+            self.config.min_overlap,
+        )
+        .map_or(VERDICT_NONE, |kind| encode_verdict(kind, !in_order))
     }
+}
+
+/// The relation triples a pattern gains with its newest event (at
+/// `new_index`): `codes[i]` is the [`encode_verdict`] byte relating event
+/// `i` to it.
+fn new_triples(codes: &[u8], new_index: u8) -> Vec<RelationTriple> {
+    codes
+        .iter()
+        .enumerate()
+        .map(|(idx, &code)| {
+            let idx = u8::try_from(idx).expect("pattern length fits u8");
+            let (kind, swapped) = decode_verdict(code).expect("codes hold relations");
+            if swapped {
+                RelationTriple::new(kind, new_index, idx)
+            } else {
+                RelationTriple::new(kind, idx, new_index)
+            }
+        })
+        .collect()
 }
 
 /// Flat triangular index of the first pair of row `row` (the number of pairs

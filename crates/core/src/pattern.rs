@@ -131,9 +131,9 @@ pub fn decode_pattern_key(k: usize, key: &[u64]) -> TemporalPattern {
     pattern
 }
 
-/// Encodes a pattern into the compact interning key used by the pattern
-/// index of `HLH_k`: the packed events followed by the packed triples, in
-/// the pattern's canonical order.
+/// Encodes a pattern into the compact interning key used by the streaming
+/// miner's pattern index and by the snapshot format: the packed events
+/// followed by the packed triples, in the pattern's canonical order.
 ///
 /// The key identifies the pattern: the word count `n + n(n-1)/2` is strictly
 /// monotone in the event count `n`, so keys of patterns with different event
@@ -435,12 +435,13 @@ mod tests {
 
     #[test]
     fn extension_key_is_the_base_key_plus_new_words() {
-        // The miner builds an extended pattern's interning key by appending
-        // the packed new event and new triples to the base pattern's packed
-        // events/triples. That shortcut is only sound if `from_parts`'s
-        // canonical sort keeps base triples first and new triples in
-        // generation order — which holds because every new triple involves
-        // the largest event index. Verify against the constructed pattern.
+        // The streaming miner builds an extended pattern's interning key by
+        // appending the packed new event and new triples to the base
+        // pattern's packed events/triples. That shortcut is only sound if
+        // `from_parts`'s canonical sort keeps base triples first and new
+        // triples in generation order — which holds because every new triple
+        // involves the largest event index. Verify against the constructed
+        // pattern.
         let base = TemporalPattern::pair([label(0, 1), label(1, 1)], RelationKind::Contains, false);
         let new_triples = vec![
             RelationTriple::new(RelationKind::Follows, 0, 2),

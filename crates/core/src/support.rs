@@ -38,6 +38,32 @@ fn gallop(haystack: &[GranulePos], lo: usize, target: GranulePos) -> usize {
     base + haystack[base..hi].partition_point(|&v| v < target)
 }
 
+/// A forward cursor over one sorted granule list. A walk that visits
+/// ascending granules seeks each from where the previous seek stopped,
+/// galloping over the skipped stretch, so `n` visits cost `O(n log gap)`
+/// probes instead of `n` binary searches over the whole list. A cursor is
+/// tied to one list; start a fresh one (`Default`) for every walk.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SupportCursor {
+    pos: usize,
+}
+
+impl SupportCursor {
+    /// Position of `target` in `set`, or `None` when `set` does not hold it.
+    /// Targets must ascend strictly across the seeks of one walk.
+    #[must_use]
+    // lint: hot-path
+    #[inline]
+    pub fn seek(&mut self, set: &[GranulePos], target: GranulePos) -> Option<usize> {
+        debug_assert!(
+            self.pos == 0 || set[self.pos - 1] < target,
+            "cursor targets must ascend"
+        );
+        self.pos = gallop(set, self.pos, target);
+        (set.get(self.pos) == Some(&target)).then_some(self.pos)
+    }
+}
+
 /// Whether the size skew between two sets puts the intersection in the
 /// galloping regime (walk the short side, exponential-probe the long one)
 /// rather than the linear-merge regime the SIMD kernels cover.
@@ -275,6 +301,26 @@ mod tests {
         // An empty short side short-circuits.
         intersect_into(&mut out, &[], &long);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn cursor_seeks_agree_with_binary_search_on_ascending_walks() {
+        let set: Vec<u64> = (0..500).map(|i| i * 7 + i % 3).collect();
+        for stride in [1u64, 2, 5, 40, 900] {
+            let mut cursor = SupportCursor::default();
+            for target in (0..4_000).step_by(stride as usize) {
+                assert_eq!(
+                    cursor.seek(&set, target),
+                    set.binary_search(&target).ok(),
+                    "stride {stride}, target {target}"
+                );
+            }
+        }
+        // Past the end and on an empty set, every seek misses.
+        let mut cursor = SupportCursor::default();
+        assert_eq!(cursor.seek(&set, 10_000), None);
+        assert_eq!(cursor.seek(&set, 10_001), None);
+        assert_eq!(SupportCursor::default().seek(&[], 3), None);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //!
 //! The listener thread polls a nonblocking accept loop so a shutdown
 //! request (in-band `OP_SHUTDOWN` or [`ServerHandle::shutdown`]) can stop
-//! it promptly; connection handlers exit when their peer hangs up or when
-//! the service stops admitting work.
+//! it promptly. On stop it shuts the read half of every open connection,
+//! so handlers exit once the request they are serving (if any) has been
+//! answered, even when their client stays connected and idle.
 
 use crate::protocol::{self, Request, Response, ServiceError};
 use crate::service::{DrainReport, Service};
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -127,10 +128,17 @@ impl Drop for ServerHandle {
 }
 
 fn accept_loop(listener: &TcpListener, service: &Arc<Service>, stop: &Arc<AtomicBool>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    // Every live connection: its handler thread plus a handle on its socket,
+    // so a stop can end reads the handler is blocked in.
+    let mut connections: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // A connection the loop cannot track could block the drain
+                // forever; refuse it (dropping the stream closes it).
+                let Ok(tracked) = stream.try_clone() else {
+                    continue;
+                };
                 let service = Arc::clone(service);
                 let stop = Arc::clone(stop);
                 if let Ok(handle) = std::thread::Builder::new()
@@ -139,7 +147,7 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>, stop: &Arc<Atomic
                         let _ = handle_connection(stream, &service, &stop);
                     })
                 {
-                    handlers.push(handle);
+                    connections.push((handle, tracked));
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -147,9 +155,15 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>, stop: &Arc<Atomic
             }
             Err(_) => break,
         }
-        handlers.retain(|h| !h.is_finished());
+        connections.retain(|(handle, _)| !handle.is_finished());
     }
-    for handle in handlers {
+    // Shut the read half of every connection: a handler blocked waiting for
+    // the next frame of an idle client sees EOF and returns, while one
+    // serving a request still writes its response on the open write half.
+    for (_, stream) in &connections {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (handle, _) in connections {
         let _ = handle.join();
     }
 }

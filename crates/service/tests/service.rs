@@ -382,3 +382,47 @@ fn tcp_round_trip_serves_and_shuts_down() {
     let report = handle.drain();
     assert_eq!(report.flushed, 1);
 }
+
+/// `drain()` returns while a client stays connected and idle: stopping the
+/// accept loop ends the handler's blocked read instead of waiting for the
+/// client to hang up, and every acknowledged append is flushed.
+#[test]
+fn drain_returns_while_an_idle_client_stays_connected() {
+    let cfg = config();
+    let fs = FaultyFs::with_seed(5);
+    let service = Service::start_with_storage(cfg.clone(), Arc::new(fs.clone()));
+    let handle = serve(service, "127.0.0.1:0").expect("bind an ephemeral port");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for phase in 0..2 {
+        let response = client.append("idle", 0, batch(6, phase)).expect("append");
+        assert!(matches!(response, Response::Appended { .. }));
+    }
+    let Response::Patterns { patterns: before } = client.patterns("idle").expect("patterns") else {
+        panic!("expected patterns");
+    };
+
+    // The client neither sends nor hangs up while the server drains.
+    let (done, drained) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(handle.drain());
+    });
+    let report = drained
+        .recv_timeout(Duration::from_secs(5))
+        .expect("drain returns within seconds while a client idles");
+    assert_eq!(report.flushed, 1, "the acknowledged appends are flushed");
+    assert!(report.failures.is_empty());
+    // The server closed the idle connection on its way down.
+    assert!(client.stats().is_err());
+    drop(client);
+
+    let revived = Service::start_with_storage(cfg, Arc::new(fs));
+    assert_eq!(patterns_of(&revived, "idle"), before);
+    let stats = revived.stats();
+    let tenant = stats.tenant("idle").expect("registered");
+    assert_eq!(tenant.granules_absorbed, 12);
+    assert_eq!(
+        tenant.replayed_records, 0,
+        "a drained daemon restarts from a clean snapshot"
+    );
+    revived.kill();
+}

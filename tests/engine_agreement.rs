@@ -9,7 +9,9 @@
 //! * A-STPM's output must be a *subset* of E-STPM's — it mines a projection
 //!   of the database, so it can only miss patterns, never invent them.
 
-use freqstpfts::core::{MiningEngine, MiningInput, StpmConfig, StpmMiner, Threshold};
+use freqstpfts::core::{
+    canonical_result_set, EngineReport, MiningEngine, MiningInput, StpmConfig, StpmMiner, Threshold,
+};
 use freqstpfts::prelude::*;
 use std::collections::BTreeSet;
 
@@ -121,4 +123,75 @@ fn zero_mu_approximate_engine_degenerates_to_exact() {
         .unwrap();
     assert_eq!(exact.pattern_set(), degenerate.pattern_set());
     assert!((accuracy(&exact, &degenerate) - 100.0).abs() < 1e-9);
+}
+
+/// Runs E-STPM at 1 and 4 threads, APS-growth and A-STPM on one generated
+/// dataset at `max_pattern_len`.
+fn deep_reports(profile: DatasetProfile, seed: u64, max_pattern_len: usize) -> [EngineReport; 4] {
+    let config = StpmConfig {
+        max_pattern_len,
+        ..small_config(profile)
+    };
+    let spec = DatasetSpec::real(profile).scaled_to(6, 200).with_seed(seed);
+    let data = generate(&spec);
+    let dseq = data.dseq().expect("generated data maps to sequences");
+    let input = MiningInput::new(&data.dsyb, &dseq, data.mapping_factor);
+    let mine = |engine: Engine, config: &StpmConfig| {
+        engine
+            .instantiate()
+            .mine_with(&input, config)
+            .expect("valid configuration")
+    };
+    [
+        mine(Engine::Exact, &config.clone().with_threads(1)),
+        mine(Engine::Exact, &config.clone().with_threads(4)),
+        mine(Engine::ApsGrowth, &config),
+        mine(Engine::Approximate { mu: None }, &config),
+    ]
+}
+
+/// At maxPatternLen 3 level 3 is the terminal, count-only level; at 4 it is
+/// extended (non-terminal), and level 4 is terminal with 3-member bindings.
+/// Both shapes must keep E-STPM — sequential and sharded — identical to
+/// APS-growth in patterns, supports and seasons, and A-STPM inside E-STPM.
+#[test]
+#[cfg_attr(miri, ignore)] // interpreter-slow: cross-engine mining runs
+fn engines_agree_at_pattern_lengths_three_and_four() {
+    for profile in [DatasetProfile::Influenza, DatasetProfile::SmartCity] {
+        for seed in [1u64, 7, 23] {
+            for max_pattern_len in [3usize, 4] {
+                let case = format!("{profile:?} seed {seed} maxPatternLen {max_pattern_len}");
+                let [exact, sharded, baseline, approx] =
+                    deep_reports(profile, seed, max_pattern_len);
+                let deepest = exact
+                    .stats()
+                    .levels
+                    .iter()
+                    .find(|l| l.k == max_pattern_len)
+                    .unwrap_or_else(|| panic!("{case}: the run reaches the last level"));
+                assert!(
+                    deepest.frequent_patterns > 0,
+                    "{case}: the last level must hold frequent patterns"
+                );
+                let canonical = |r: &EngineReport| canonical_result_set(r.events(), r.patterns());
+                assert_eq!(
+                    canonical(&exact),
+                    canonical(&baseline),
+                    "{case}: E-STPM and APS-growth must agree exactly"
+                );
+                assert_eq!(
+                    canonical(&sharded),
+                    canonical(&exact),
+                    "{case}: 4-thread E-STPM must equal the sequential run"
+                );
+                let exact_set = exact.pattern_set();
+                let approx_set = approx.pattern_set();
+                assert!(
+                    approx_set.is_subset(&exact_set),
+                    "{case}: A-STPM invented patterns: {:?}",
+                    approx_set.difference(&exact_set).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
 }

@@ -10,7 +10,7 @@
 //! case can be replayed exactly.
 
 use freqstpfts::core::hlh::{HlhK, RelationAdjacency};
-use freqstpfts::core::pattern::encode_pattern_key;
+use freqstpfts::core::relation::encode_verdict;
 use freqstpfts::core::season::{
     find_seasons, near_support_sets, seasons_count, support_is_frequent,
 };
@@ -371,26 +371,27 @@ fn adjacency_bitset_enumeration_matches_the_naive_f1_scan() {
                 let roll = rng.next_below(6);
                 if roll == 0 {
                     // A related pair: group plus one candidate pattern.
-                    let group = hlh2.insert_group(vec![labels[i], labels[j]], vec![1]);
+                    hlh2.begin_group(&[labels[i], labels[j]], &[1]);
                     let pattern =
                         TemporalPattern::pair([labels[i], labels[j]], RelationKind::Follows, false);
-                    let key = encode_pattern_key(&pattern);
                     let binding = [
                         EventInstance::new(labels[i], Interval::new(1, 1)),
                         EventInstance::new(labels[j], Interval::new(2, 2)),
                     ];
                     hlh2.add_pattern_occurrence(
-                        group,
-                        &key,
+                        0,
+                        &[encode_verdict(RelationKind::Follows, false)],
                         || pattern.clone(),
                         1,
                         &binding[..1],
                         binding[1],
                     );
+                    hlh2.end_group();
                 } else if roll == 1 {
-                    // A co-occurring pair that never classified: registered
-                    // group, empty pattern list — must contribute no edge.
-                    hlh2.insert_group(vec![labels[i], labels[j]], vec![1]);
+                    // A co-occurring pair that never classified: its group
+                    // is opened and closed empty — must contribute no edge.
+                    hlh2.begin_group(&[labels[i], labels[j]], &[1]);
+                    hlh2.end_group();
                 }
             }
         }
