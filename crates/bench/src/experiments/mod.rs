@@ -6,7 +6,6 @@
 pub mod ablation;
 pub mod accuracy;
 pub mod epsilon;
-pub mod kernels;
 pub mod pattern_counts;
 pub mod pruning_ratio;
 pub mod qualitative;

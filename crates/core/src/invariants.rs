@@ -103,8 +103,27 @@ mod tests {
 
     #[test]
     fn strict_checks_follow_build_profile() {
-        // Under `cargo test` debug_assertions are on, so the gated call
-        // sites must be active.
-        assert!(strict_checks_enabled());
+        // Counts how often `debug_validate!` evaluates its expression.
+        let evaluated = std::cell::Cell::new(0u32);
+        let failing_validation = || {
+            evaluated.set(evaluated.get() + 1);
+            Err::<(), _>(InvariantViolation::new("Probe", "always violated"))
+        };
+        if cfg!(debug_assertions) || cfg!(feature = "strict-invariants") {
+            // Debug and strict-invariants builds run the gated call sites
+            // and panic on a violation.
+            assert!(strict_checks_enabled());
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                debug_validate!(failing_validation());
+            }));
+            assert!(outcome.is_err(), "a violation must panic");
+            assert_eq!(evaluated.get(), 1);
+        } else {
+            // A plain release build folds the call sites away: the
+            // validation expression is never evaluated.
+            assert!(!strict_checks_enabled());
+            debug_validate!(failing_validation());
+            assert_eq!(evaluated.get(), 0);
+        }
     }
 }

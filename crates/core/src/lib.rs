@@ -77,10 +77,7 @@
 //! assert!(report.total_patterns() > 0);
 //! ```
 
-// Deny rather than forbid: the `simd` module carries the one sanctioned
-// scoped `#![allow(unsafe_code)]` (vectorized kernel twins); the stpm-lint
-// `unsafe-scope` rule errors on `unsafe` anywhere else in the workspace.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

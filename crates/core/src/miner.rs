@@ -91,8 +91,8 @@ use crate::relation::{
 use crate::report::{LevelStats, MinedEvent, MinedPattern, MiningReport, MiningStats};
 use crate::season::{find_seasons, support_is_frequent};
 use crate::support::{
-    intersect_into, intersect_positions_into, intersect_rows_into, iter_set_bits, SupportCursor,
-    SupportSet,
+    and_words, intersect_into, intersect_positions_into, intersect_rows_into, iter_set_bits,
+    SupportCursor, SupportSet,
 };
 use std::ops::Range;
 use std::time::Instant;
@@ -638,7 +638,6 @@ impl ExactRun<'_> {
         };
         let mut counters = LevelCounters::default();
         let mut scratch = Scratch::default();
-        let kernels = crate::simd::kernels();
         // Chunk-lived buffers of borrowed data (they hold references into
         // the adjacency matrix, HLH_1 and the verdict table, so they cannot
         // live in the owned `Scratch`); all reuse their capacity across
@@ -672,7 +671,7 @@ impl ExactRun<'_> {
                 let Scratch { row, ext, .. } = &mut scratch;
                 intersect_rows_into(row, &member_rows);
                 if let Some(mask) = filtered_mask {
-                    kernels.and_words(row, mask);
+                    and_words(row, mask);
                 }
                 let last_id = adj.index_of(last).expect("group events are candidates");
                 ext.extend(iter_set_bits(row, last_id + 1).map(|id| adj.label(id)));
@@ -741,14 +740,13 @@ impl ExactRun<'_> {
                         }
                         // A member whose verdict block holds no relation at
                         // all at this granule vetoes every binding × E_k
-                        // instance below — one wide byte scan per block
-                        // (the dispatched kernel) decides before any
-                        // binding is enumerated. Uncovered members
-                        // (`None`) fall back to the classifier and cannot
-                        // be skipped.
-                        if member_blocks.iter().any(
-                            |blk| matches!(blk, Some((block, _)) if !kernels.verdict_any(block)),
-                        ) {
+                        // instance below — one byte scan per block decides
+                        // before any binding is enumerated. Uncovered
+                        // members (`None`) fall back to the classifier and
+                        // cannot be skipped.
+                        if member_blocks.iter().any(|blk| {
+                            matches!(blk, Some((block, _)) if block.iter().all(|&v| v == VERDICT_NONE))
+                        }) {
                             continue;
                         }
                         for &bid in pattern_entry.binding_ids_at_index(scratch.pos_a[m] as usize) {

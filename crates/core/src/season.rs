@@ -144,6 +144,21 @@ impl Seasons {
     }
 }
 
+/// Exclusive end of the maximal dense run of `support` beginning at
+/// `start`: the first `j > start` with `j == support.len()` or a gap
+/// `support[j] - support[j-1]` above `max_period`. Requires
+/// `start < support.len()` and a strictly increasing `support`.
+// lint: hot-path
+#[inline]
+fn run_end(support: &[GranulePos], start: usize, max_period: u64) -> usize {
+    debug_assert!(start < support.len(), "run start must be in bounds");
+    let mut j = start + 1;
+    while j < support.len() && support[j] - support[j - 1] <= max_period {
+        j += 1;
+    }
+    j
+}
+
 /// Walks the trimmed, dense-enough seasons of `support` as half-open index
 /// spans, reporting each through `on_season(start, end)` and returning the
 /// longest compliant chain length — the single allocation-free core behind
@@ -169,10 +184,8 @@ fn walk_season_spans<F: FnMut(usize, usize)>(
         if early_exit_at.is_some_and(|target| best >= target) {
             return best;
         }
-        // Maximal near support set: the run [i, j), found by the dispatched
-        // run-detection kernel (AVX2 compares four consecutive gaps at a
-        // time where detected; scalar twin otherwise).
-        let j = crate::simd::kernels().run_end(support, i, config.max_period);
+        // Maximal near support set: the run [i, j).
+        let j = run_end(support, i, config.max_period);
         // distmin trimming: drop leading granules closer than distmin to the
         // end of the previously accepted season.
         let mut s = i;

@@ -282,10 +282,9 @@ fn mine_granule(seq: &TemporalSequence, config: &ResolvedConfig) -> GranuleHarve
                 }
             }
             if record_verdicts {
-                // The granule-local adjacency bit is one wide byte scan of
-                // the finished block (dispatched kernel), replacing the
-                // per-cell flag accumulation.
-                related[i * n + j] = crate::simd::kernels().verdict_any(&block);
+                // The granule-local adjacency bit is one byte scan of the
+                // finished block, replacing the per-cell flag accumulation.
+                related[i * n + j] = block.iter().any(|&v| v != VERDICT_NONE);
                 blocks[i * n + j] = block;
             }
         }

@@ -64,47 +64,49 @@ impl SupportCursor {
     }
 }
 
-/// Whether the size skew between two sets puts the intersection in the
-/// galloping regime (walk the short side, exponential-probe the long one)
-/// rather than the linear-merge regime the SIMD kernels cover.
-#[inline]
-fn gallop_regime(a: &[GranulePos], b: &[GranulePos]) -> bool {
-    let (short, long) = if a.len() <= b.len() {
-        (a.len(), b.len())
-    } else {
-        (b.len(), a.len())
-    };
-    short * GALLOP_RATIO <= long
-}
-
-/// The galloping intersection core both public variants monomorphize over:
-/// reports every common value through `on_match(value, pos_in_a, pos_in_b)`.
-/// Only called in the [`gallop_regime`]; the balanced linear-merge regime
-/// goes through the [`crate::simd`] kernel dispatch instead, so this path
-/// stays scalar by design (galloping is branch-and-probe bound, with no
-/// profitable vector form).
+/// Reports every value common to two sorted sets through
+/// `on_match(value, pos_in_a, pos_in_b)`, in increasing order — the one
+/// intersection core both public variants monomorphize over. When one side
+/// is at least `GALLOP_RATIO` times longer than the other, the shorter side
+/// is walked and the longer side is advanced by galloping; otherwise the two
+/// sides are merged linearly.
 // lint: hot-path
 #[inline]
-fn intersect_gallop<F: FnMut(GranulePos, usize, usize)>(
+fn intersect_with<F: FnMut(GranulePos, usize, usize)>(
     a: &[GranulePos],
     b: &[GranulePos],
     mut on_match: F,
 ) {
     let a_short = a.len() <= b.len();
     let (short, long) = if a_short { (a, b) } else { (b, a) };
-    let mut j = 0usize;
-    for (i, &x) in short.iter().enumerate() {
-        j = gallop(long, j, x);
-        if j == long.len() {
-            break;
-        }
-        if long[j] == x {
-            if a_short {
-                on_match(x, i, j);
-            } else {
-                on_match(x, j, i);
+    if short.len() * GALLOP_RATIO <= long.len() {
+        let mut j = 0usize;
+        for (i, &x) in short.iter().enumerate() {
+            j = gallop(long, j, x);
+            if j == long.len() {
+                break;
             }
-            j += 1;
+            if long[j] == x {
+                if a_short {
+                    on_match(x, i, j);
+                } else {
+                    on_match(x, j, i);
+                }
+                j += 1;
+            }
+        }
+        return;
+    }
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                on_match(a[i], i, j);
+                i += 1;
+                j += 1;
+            }
         }
     }
 }
@@ -120,19 +122,12 @@ pub fn intersect(a: &[GranulePos], b: &[GranulePos]) -> SupportSet {
 
 /// Intersects two sorted support sets into `out`, clearing it first — the
 /// allocation-free form the miner threads its per-shard scratch buffers
-/// through. When one side is at least `GALLOP_RATIO` (32) times longer than
-/// the other, the shorter side is walked and the longer side is advanced by
-/// galloping; otherwise the linear merge runs through the process-wide
-/// [`crate::simd`] kernel dispatch (AVX2 4×4 block compare where detected,
-/// scalar twin otherwise — byte-identical output either way).
+/// through. Skewed sizes are intersected by galloping, balanced ones by a
+/// linear merge.
 // lint: hot-path
 pub fn intersect_into(out: &mut SupportSet, a: &[GranulePos], b: &[GranulePos]) {
     out.clear();
-    if gallop_regime(a, b) {
-        intersect_gallop(a, b, |x, _, _| out.push(x));
-    } else {
-        crate::simd::kernels().intersect(a, b, out);
-    }
+    intersect_with(a, b, |x, _, _| out.push(x));
 }
 
 /// Intersects two sorted support sets into `out` while also recording, for
@@ -141,8 +136,10 @@ pub fn intersect_into(out: &mut SupportSet, a: &[GranulePos], b: &[GranulePos]) 
 /// let the miner reach granule-aligned side data (instance slices in
 /// `HLH_1`, binding slices in `HLH_k`) with plain offset lookups instead of
 /// one binary search per matched granule. Galloping kicks in on skewed
-/// sizes exactly as in [`intersect_into`]; the balanced regime dispatches
-/// to the [`crate::simd`] kernels.
+/// sizes exactly as in [`intersect_into`].
+///
+/// # Panics
+/// Panics when a matched position does not fit `u32`.
 // lint: hot-path
 pub fn intersect_positions_into(
     a: &[GranulePos],
@@ -154,15 +151,11 @@ pub fn intersect_positions_into(
     out.clear();
     pos_a.clear();
     pos_b.clear();
-    if gallop_regime(a, b) {
-        intersect_gallop(a, b, |x, i, j| {
-            out.push(x);
-            pos_a.push(u32::try_from(i).expect("support position fits u32"));
-            pos_b.push(u32::try_from(j).expect("support position fits u32"));
-        });
-    } else {
-        crate::simd::kernels().intersect_positions(a, b, out, pos_a, pos_b);
-    }
+    intersect_with(a, b, |x, i, j| {
+        out.push(x);
+        pos_a.push(u32::try_from(i).expect("support position fits u32"));
+        pos_b.push(u32::try_from(j).expect("support position fits u32"));
+    });
 }
 
 /// Unions two sorted support sets (used when merging per-relation supports
@@ -225,10 +218,17 @@ pub fn intersect_rows_into(out: &mut Vec<u64>, rows: &[&[u64]]) {
         return;
     };
     out.extend_from_slice(first);
-    let kernels = crate::simd::kernels();
     for row in rest {
         debug_assert_eq!(row.len(), out.len(), "bitset rows must share a length");
-        kernels.and_words(out, row);
+        and_words(out, row);
+    }
+}
+
+/// `acc[i] &= row[i]` over the common prefix of the two slices.
+// lint: hot-path
+pub(crate) fn and_words(acc: &mut [u64], row: &[u64]) {
+    for (acc_word, &row_word) in acc.iter_mut().zip(row) {
+        *acc_word &= row_word;
     }
 }
 

@@ -2,15 +2,15 @@
 //!
 //! Project-invariant static analysis for the FreqSTPfTS workspace.
 //!
-//! Five load-bearing contracts hold this codebase together: parallel
+//! Four load-bearing contracts hold this codebase together: parallel
 //! mining must stay byte-identical to sequential, the intersection/verdict/
 //! season kernels must stay allocation-free on the hot path, every
 //! snapshot/WAL decode path must surface corruption as a typed error
-//! instead of panicking, the persistence layer must sync writes before
-//! publishing or acknowledging them, and `unsafe` code must stay confined
-//! to the SIMD kernel module where every intrinsic has a property-tested
-//! scalar twin. `stpm-lint` machine-checks those contracts as named,
-//! suppressible rules over every `crates/**/src/*.rs` file:
+//! instead of panicking, and the persistence layer must sync writes before
+//! publishing or acknowledging them. `stpm-lint` machine-checks those
+//! contracts as named, suppressible rules over every `crates/**/src/*.rs`
+//! file (`unsafe` code needs no rule: the workspace lints set
+//! `unsafe_code = "forbid"`, so rustc rejects it):
 //!
 //! | rule | what it enforces |
 //! |------|------------------|
@@ -19,7 +19,6 @@
 //! | `determinism` | no hash-order iteration in output modules, no wall clock in wire code |
 //! | `wire-format-freeze` | snapshot constants match `snapshot_format.lock` |
 //! | `durable-io` | fsync before rename/truncate/acknowledgment in `// lint: durable` functions |
-//! | `unsafe-scope` | `unsafe` only under `crates/core/src/simd/` (vectorized kernel twins) |
 //!
 //! The workspace is dependency-free, so the analysis is built on a small
 //! hand-rolled token scanner ([`lexer`]) rather than `syn`. See [`rules`]

@@ -12,6 +12,8 @@
 //! then drains gracefully: queued work finishes and every tenant's state
 //! is flushed to a durable snapshot before the process exits.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 use stpm_core::MemoryBudget;

@@ -35,18 +35,10 @@ points=$(grep -o '"tail_granules":' BENCH_recovery_quick.json | wc -l)
 echo "recovery crash-position points: $points"
 test "$points" -ge 2
 
-echo "== kernel-throughput smoke =="
-cargo run --release -p stpm-bench --bin kernels -- --quick
-python3 -m json.tool BENCH_kernels_quick.json > /dev/null
-tiers=$(grep -o '"tier":' BENCH_kernels_quick.json | wc -l)
-echo "kernel (kernel, tier) entries: $tiers"
-test "$tiers" -ge 5
-
 echo "== checked-in full-run baselines stay parseable =="
 python3 -m json.tool BENCH_scaling.json > /dev/null
 python3 -m json.tool BENCH_streaming.json > /dev/null
 python3 -m json.tool BENCH_recovery.json > /dev/null
-python3 -m json.tool BENCH_kernels.json > /dev/null
 
 echo "== scaling regression gate =="
 python3 scripts/check_scaling_regression.py \
@@ -61,11 +53,6 @@ python3 scripts/check_streaming_regression.py \
 echo "== recovery regression gate =="
 python3 scripts/check_recovery_regression.py \
   BENCH_recovery_quick_baseline.json BENCH_recovery_quick.json \
-  --max-slowdown 1.25
-
-echo "== kernels regression gate =="
-python3 scripts/check_kernels_regression.py \
-  BENCH_kernels_quick_baseline.json BENCH_kernels_quick.json \
   --max-slowdown 1.25
 
 echo "bench smoke: all gates passed"

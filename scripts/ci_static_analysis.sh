@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Static-analysis gate: the project lint pass (stpm-lint), its fixture
-# suite, the wire-format lock freshness check, and the strict-invariants
-# test run.
+# suite, the wire-format lock freshness check, the strict-invariants
+# test run, and the core unit tests in a plain release build.
 #
 # CI's analysis job executes this exact script, so a local
 # `scripts/ci_static_analysis.sh` reproduces the CI gate bit for bit.
@@ -25,6 +25,9 @@ fi
 
 echo "== strict-invariants test run (validators on in release) =="
 cargo test --release -q --features strict-invariants
+
+echo "== plain release core unit tests (validators folded away) =="
+cargo test --release -q -p stpm-core --lib
 
 echo "== miri (curated subset) =="
 # Miri needs a nightly component; run it when available (CI's miri job

@@ -7,8 +7,8 @@
 # for performance work, not a default. The flow:
 #
 #   1. build the bench binaries instrumented (-Cprofile-generate),
-#   2. drive them through the quick scaling + streaming + kernels
-#      workloads (the same inner loops the full experiments exercise),
+#   2. drive them through the quick scaling + streaming workloads (the
+#      same inner loops the full experiments exercise),
 #   3. merge the raw profiles with llvm-profdata,
 #   4. rebuild optimized against the merged profile (-Cprofile-use).
 #
@@ -53,12 +53,11 @@ echo "using $PROFDATA (LLVM $TOOL_LLVM_MAJOR, matching rustc)"
 echo "== step 1/4: instrumented build =="
 RUSTFLAGS="-Cprofile-generate=$ABS_PROFDIR" \
   cargo build --release -p stpm-bench \
-  --bin scaling --bin streaming --bin kernels
+  --bin scaling --bin streaming
 
-echo "== step 2/4: profiling workload (quick scaling + streaming + kernels) =="
+echo "== step 2/4: profiling workload (quick scaling + streaming) =="
 ./target/release/scaling --quick
 ./target/release/streaming --quick
-./target/release/kernels --quick
 
 echo "== step 3/4: merging profiles =="
 "$PROFDATA" merge -o "$ABS_PROFDIR/merged.profdata" "$ABS_PROFDIR"
@@ -68,4 +67,4 @@ RUSTFLAGS="-Cprofile-use=$ABS_PROFDIR/merged.profdata" \
   cargo build --release -p stpm-bench --bins
 
 echo "PGO build complete: target/release binaries now use $ABS_PROFDIR/merged.profdata"
-echo "re-run the full experiments (e.g. target/release/kernels) to measure the effect"
+echo "re-run the full experiments (e.g. target/release/scaling) to measure the effect"

@@ -53,6 +53,29 @@ fn resolved(
     .unwrap()
 }
 
+/// Strictly increasing set of exactly `len` elements with gap profile drawn
+/// from `rng`: dense (gap 1–2) half the time, so merges match often, sparse
+/// otherwise.
+fn increasing_set(rng: &mut SeededRng, len: usize) -> Vec<u64> {
+    let dense = rng.next_below(2) == 0;
+    let mut next = rng.next_below(16);
+    let mut set = Vec::with_capacity(len);
+    for _ in 0..len {
+        set.push(next);
+        let gap = if dense {
+            1 + rng.next_below(2)
+        } else {
+            1 + rng.next_below(50)
+        };
+        next += gap;
+    }
+    set
+}
+
+/// Edge lengths for the merge, bitset and run kernels: empty, single, and
+/// the sizes around every power of two up to 64.
+const LANE_STRADDLING_LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64];
+
 #[test]
 fn intersection_is_subset_of_both() {
     for seed in 0..CASES {
@@ -91,6 +114,25 @@ fn intersect_into_agrees_with_btreeset_reference() {
     // previous case must never leak into the next result.
     let mut out = Vec::new();
     let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
+    let mut check = |a: &[u64], b: &[u64], case: &str| {
+        let expected: Vec<u64> = {
+            let sa: BTreeSet<u64> = a.iter().copied().collect();
+            let sb: BTreeSet<u64> = b.iter().copied().collect();
+            sa.intersection(&sb).copied().collect()
+        };
+        intersect_into(&mut out, a, b);
+        assert_eq!(out, expected, "{case}");
+        assert_eq!(out, intersect(a, b), "{case}");
+        // The indexed variant finds the same granules, and every recorded
+        // position points back at its match in both inputs.
+        intersect_positions_into(a, b, &mut out, &mut pos_a, &mut pos_b);
+        assert_eq!(out, expected, "{case}");
+        assert_eq!((pos_a.len(), pos_b.len()), (out.len(), out.len()), "{case}");
+        for (m, &g) in out.iter().enumerate() {
+            assert_eq!(a[pos_a[m] as usize], g, "{case}");
+            assert_eq!(b[pos_b[m] as usize], g, "{case}");
+        }
+    };
     for seed in 0..CASES {
         let mut rng = SeededRng::seed_from_u64(seed);
         // Alternate between same-order-of-magnitude sets (linear merge) and
@@ -110,22 +152,41 @@ fn intersect_into_agrees_with_btreeset_reference() {
                 (short, long)
             }
         };
-        let expected: Vec<u64> = {
-            let sa: BTreeSet<u64> = a.iter().copied().collect();
-            let sb: BTreeSet<u64> = b.iter().copied().collect();
-            sa.intersection(&sb).copied().collect()
-        };
-        intersect_into(&mut out, &a, &b);
-        assert_eq!(out, expected, "seed {seed}");
-        assert_eq!(out, intersect(&a, &b), "seed {seed}");
-        // The indexed variant finds the same granules, and every recorded
-        // position points back at its match in both inputs.
-        intersect_positions_into(&a, &b, &mut out, &mut pos_a, &mut pos_b);
-        assert_eq!(out, expected, "seed {seed}");
-        for (m, &g) in out.iter().enumerate() {
-            assert_eq!(a[pos_a[m] as usize], g, "seed {seed}");
-            assert_eq!(b[pos_b[m] as usize], g, "seed {seed}");
+        check(&a, &b, &format!("seed {seed}"));
+        // Edge lengths on both sides; half the time `b` shares elements
+        // with `a` so matches occur. Every `a` is also intersected with
+        // itself (all match) and, interleaved, with a disjoint set (none
+        // match).
+        for &len_a in LANE_STRADDLING_LENS {
+            let len_b =
+                LANE_STRADDLING_LENS[rng.next_below(LANE_STRADDLING_LENS.len() as u64) as usize];
+            let a = increasing_set(&mut rng, len_a);
+            let b = if rng.next_below(2) == 0 && !a.is_empty() {
+                let mut b: BTreeSet<u64> = increasing_set(&mut rng, len_b).into_iter().collect();
+                for _ in 0..len_b {
+                    b.insert(a[rng.next_below(a.len() as u64) as usize]);
+                }
+                b.into_iter().take(len_b).collect()
+            } else {
+                increasing_set(&mut rng, len_b)
+            };
+            let case = format!("seed {seed}, lengths {len_a}/{len_b}");
+            check(&a, &b, &case);
+            check(&a, &a, &format!("{case}, all match"));
+            let evens: Vec<u64> = a.iter().map(|&x| 2 * x).collect();
+            let odds: Vec<u64> = a.iter().map(|&x| 2 * x + 1).collect();
+            check(&evens, &odds, &format!("{case}, no match"));
         }
+        // Galloping skew right at the ratio: a short side of at most
+        // long/32 elements, in both argument orders.
+        let long_len = 1 + rng.next_below(400) as usize * 2;
+        let long = increasing_set(&mut rng, long_len);
+        let short: Vec<u64> = skewed_partner(&mut rng, &long)
+            .into_iter()
+            .take((long.len() / 32).clamp(1, 4))
+            .collect();
+        check(&short, &long, &format!("seed {seed}, skewed"));
+        check(&long, &short, &format!("seed {seed}, skewed, swapped"));
     }
 }
 
@@ -268,6 +329,41 @@ fn reference_find_seasons(
     (seasons, chain)
 }
 
+fn assert_seasons_match_reference(
+    support: &[u64],
+    config: &freqstpfts::core::ResolvedConfig,
+    case: &str,
+) {
+    let (ref_seasons, ref_chain) = reference_find_seasons(support, config);
+    let seasons = find_seasons(support, config);
+    let materialized: Vec<Vec<u64>> = seasons.seasons().map(<[u64]>::to_vec).collect();
+    assert_eq!(materialized, ref_seasons, "{case}");
+    assert_eq!(seasons.count(), ref_chain, "{case}");
+    assert_eq!(
+        seasons.densities().collect::<Vec<_>>(),
+        ref_seasons
+            .iter()
+            .map(|s| s.len() as u64)
+            .collect::<Vec<_>>(),
+        "{case}"
+    );
+    assert_eq!(
+        seasons.distances().collect::<Vec<_>>(),
+        ref_seasons
+            .windows(2)
+            .map(|w| w[1].first().unwrap() - w[0].last().unwrap())
+            .collect::<Vec<_>>(),
+        "{case}"
+    );
+    // The allocation-free fast paths agree with the materialiser.
+    assert_eq!(seasons_count(support, config), ref_chain, "{case}");
+    assert_eq!(
+        support_is_frequent(support, config),
+        ref_chain >= config.min_season,
+        "{case}"
+    );
+}
+
 #[test]
 fn span_based_seasons_match_the_reference_materializer() {
     for seed in 0..CASES {
@@ -279,35 +375,19 @@ fn span_based_seasons_match_the_reference_materializer() {
         let dist_min = 1 + rng.next_below(8);
         let dist_max = dist_min + rng.next_below(40);
         let config = resolved(max_period, min_density, (dist_min, dist_max), min_season);
-
-        let (ref_seasons, ref_chain) = reference_find_seasons(&support, &config);
-        let seasons = find_seasons(&support, &config);
-        let materialized: Vec<Vec<u64>> = seasons.seasons().map(<[u64]>::to_vec).collect();
-        assert_eq!(materialized, ref_seasons, "seed {seed}");
-        assert_eq!(seasons.count(), ref_chain, "seed {seed}");
-        assert_eq!(
-            seasons.densities().collect::<Vec<_>>(),
-            ref_seasons
-                .iter()
-                .map(|s| s.len() as u64)
-                .collect::<Vec<_>>(),
-            "seed {seed}"
-        );
-        assert_eq!(
-            seasons.distances().collect::<Vec<_>>(),
-            ref_seasons
-                .windows(2)
-                .map(|w| w[1].first().unwrap() - w[0].last().unwrap())
-                .collect::<Vec<_>>(),
-            "seed {seed}"
-        );
-        // The allocation-free fast paths agree with the materialiser.
-        assert_eq!(seasons_count(&support, &config), ref_chain, "seed {seed}");
-        assert_eq!(
-            support_is_frequent(&support, &config),
-            ref_chain >= min_season,
-            "seed {seed}"
-        );
+        assert_seasons_match_reference(&support, &config, &format!("seed {seed}"));
+        // Dense-run edges: supports of every edge length, one unbroken run
+        // (every gap within maxPeriod) and no run at all (every gap beyond
+        // it).
+        for &len in LANE_STRADDLING_LENS {
+            let case = format!("seed {seed}, length {len}");
+            let support = increasing_set(&mut rng, len);
+            assert_seasons_match_reference(&support, &config, &case);
+            let one_run: Vec<u64> = (0..len as u64).map(|g| 1 + g * max_period).collect();
+            assert_seasons_match_reference(&one_run, &config, &format!("{case}, one run"));
+            let no_run: Vec<u64> = (0..len as u64).map(|g| 1 + g * (max_period + 1)).collect();
+            assert_seasons_match_reference(&no_run, &config, &format!("{case}, no run"));
+        }
     }
 }
 
@@ -434,6 +514,49 @@ fn adjacency_bitset_enumeration_matches_the_naive_f1_scan() {
                 .map(|id| adjacency.label(id))
                 .collect();
             assert_eq!(enumerated, naive, "seed {seed}, members {members:?}");
+        }
+    }
+    // Rows of every edge word count: all-ones, all-zero and random first
+    // rows. The enumerated bits of the AND are exactly the bits every row
+    // has set.
+    let bit = |row: &[u64], i: usize| (row[i / 64] >> (i % 64)) & 1 == 1;
+    let mut rng = SeededRng::seed_from_u64(CASES);
+    let mut row = Vec::new();
+    for &words in LANE_STRADDLING_LENS {
+        for mode in 0..3 {
+            let rows: Vec<Vec<u64>> = (0..3)
+                .map(|r| {
+                    (0..words)
+                        .map(|_| match (mode, r) {
+                            (0, _) => u64::MAX,
+                            (1, 0) => 0,
+                            _ => rng.next_below(u64::MAX),
+                        })
+                        .collect()
+                })
+                .collect();
+            let row_refs: Vec<&[u64]> = rows.iter().map(Vec::as_slice).collect();
+            intersect_rows_into(&mut row, &row_refs);
+            let naive: Vec<usize> = (0..words * 64)
+                .filter(|&i| rows.iter().all(|r| bit(r, i)))
+                .collect();
+            let enumerated: Vec<usize> = iter_set_bits(&row, 0).collect();
+            assert_eq!(enumerated, naive, "{words} words, mode {mode}");
+        }
+        // A single set bit at every offset survives the AND with an
+        // all-ones row and is the only bit enumerated.
+        let ones = vec![u64::MAX; words];
+        let mut hot_row = vec![0u64; words];
+        for hot in 0..words * 64 {
+            hot_row[hot / 64] = 1 << (hot % 64);
+            intersect_rows_into(&mut row, &[&ones, &hot_row]);
+            assert_eq!(
+                iter_set_bits(&row, 0).collect::<Vec<_>>(),
+                [hot],
+                "{words} words, hot bit {hot}"
+            );
+            assert_eq!(iter_set_bits(&row, hot + 1).next(), None, "hot bit {hot}");
+            hot_row[hot / 64] = 0;
         }
     }
 }
@@ -689,206 +812,4 @@ fn validators_reject_a_corrupted_tracker() {
         tracker.validate(&other, &config).is_err(),
         "tracker accepted a support it was never fed"
     );
-}
-
-// ---------------------------------------------------------------------------
-// SIMD kernel parity: every tier the host CPU supports (scalar, and on
-// x86_64 SSE2/AVX2 where detected) must be byte-identical to the scalar
-// reference on every kernel, over adversarial inputs — empty sets, single
-// elements, lane-straddling lengths, the galloping skew regime, and
-// all-match / no-match rows. These tests carry the `simd_` prefix so the CI
-// sanitizer smoke step can select exactly this suite.
-// ---------------------------------------------------------------------------
-
-use freqstpfts::core::simd;
-
-/// Strictly increasing set of exactly `len` elements with gap profile drawn
-/// from `rng`: dense (gap 1–2) half the time to force many vector-lane
-/// matches, sparse otherwise.
-fn increasing_set(rng: &mut SeededRng, len: usize) -> Vec<u64> {
-    let dense = rng.next_below(2) == 0;
-    let mut next = rng.next_below(16);
-    let mut set = Vec::with_capacity(len);
-    for _ in 0..len {
-        set.push(next);
-        let gap = if dense {
-            1 + rng.next_below(2)
-        } else {
-            1 + rng.next_below(50)
-        };
-        next += gap;
-    }
-    set
-}
-
-/// Lengths that straddle every vector-lane boundary the kernels use
-/// (2/4-wide u64 lanes, 16/32-wide byte lanes), plus empty and single.
-const LANE_STRADDLING_LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64];
-
-#[test]
-fn simd_intersect_parity_across_tiers() {
-    let tiers = simd::tiers();
-    assert_eq!(tiers[0].name(), "scalar");
-    for seed in 0..CASES {
-        let mut rng = SeededRng::seed_from_u64(seed);
-        for &len_a in LANE_STRADDLING_LENS {
-            let len_b =
-                LANE_STRADDLING_LENS[rng.next_below(LANE_STRADDLING_LENS.len() as u64) as usize];
-            let a = increasing_set(&mut rng, len_a);
-            // Half the time, share a tail with `a` so matches actually occur.
-            let b = if rng.next_below(2) == 0 && !a.is_empty() {
-                let mut b: BTreeSet<u64> = increasing_set(&mut rng, len_b).into_iter().collect();
-                for _ in 0..len_b {
-                    b.insert(a[rng.next_below(a.len() as u64) as usize]);
-                }
-                b.into_iter().take(len_b).collect()
-            } else {
-                increasing_set(&mut rng, len_b)
-            };
-            let mut expect = Vec::new();
-            tiers[0].intersect(&a, &b, &mut expect);
-            let (mut evals, mut epa, mut epb) = (Vec::new(), Vec::new(), Vec::new());
-            tiers[0].intersect_positions(&a, &b, &mut evals, &mut epa, &mut epb);
-            assert_eq!(evals, expect, "seed {seed}: scalar variants disagree");
-            for tier in &tiers[1..] {
-                let mut got = Vec::new();
-                tier.intersect(&a, &b, &mut got);
-                assert_eq!(got, expect, "seed {seed} tier {}", tier.name());
-                let (mut vals, mut pa, mut pb) = (Vec::new(), Vec::new(), Vec::new());
-                tier.intersect_positions(&a, &b, &mut vals, &mut pa, &mut pb);
-                assert_eq!(vals, expect, "seed {seed} tier {}", tier.name());
-                assert_eq!(pa, epa, "seed {seed} tier {}", tier.name());
-                assert_eq!(pb, epb, "seed {seed} tier {}", tier.name());
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_intersect_parity_in_the_galloping_skew_regime() {
-    // The public `intersect_into` keeps galloping scalar above the >= 32x
-    // skew ratio, but the kernels themselves must stay correct on skewed
-    // inputs too — CI runs this with and without STPM_FORCE_SCALAR=1.
-    let tiers = simd::tiers();
-    for seed in 0..CASES {
-        let mut rng = SeededRng::seed_from_u64(seed);
-        let long_len = 1 + rng.next_below(400) as usize * 2;
-        let long = increasing_set(&mut rng, long_len);
-        let short_len = (long.len() / 32).min(4);
-        let short = skewed_partner(&mut rng, &long);
-        let short: Vec<u64> = short.into_iter().take(short_len.max(1)).collect();
-        let mut expect = Vec::new();
-        tiers[0].intersect(&short, &long, &mut expect);
-        for tier in &tiers[1..] {
-            for (x, y) in [(&short, &long), (&long, &short)] {
-                let mut got = Vec::new();
-                tier.intersect(x, y, &mut got);
-                assert_eq!(got, expect, "seed {seed} tier {}", tier.name());
-            }
-        }
-        // And the public entry point (whatever its regime choice) agrees
-        // with the scalar kernel.
-        let mut via_public = Vec::new();
-        intersect_into(&mut via_public, &short, &long);
-        assert_eq!(via_public, expect, "seed {seed}");
-    }
-}
-
-#[test]
-fn simd_and_words_parity_across_tiers() {
-    let tiers = simd::tiers();
-    for seed in 0..CASES {
-        let mut rng = SeededRng::seed_from_u64(seed);
-        for &len in LANE_STRADDLING_LENS {
-            let mode = rng.next_below(3);
-            let acc_init: Vec<u64> = (0..len)
-                .map(|_| match mode {
-                    0 => u64::MAX, // all-match rows
-                    1 => 0,        // no-match rows
-                    _ => rng.next_below(u64::MAX),
-                })
-                .collect();
-            let row: Vec<u64> = (0..len)
-                .map(|_| match mode {
-                    0 => u64::MAX,
-                    1 => rng.next_below(u64::MAX),
-                    _ => rng.next_below(u64::MAX),
-                })
-                .collect();
-            let mut expect = acc_init.clone();
-            tiers[0].and_words(&mut expect, &row);
-            for tier in &tiers[1..] {
-                let mut got = acc_init.clone();
-                tier.and_words(&mut got, &row);
-                assert_eq!(got, expect, "seed {seed} len {len} tier {}", tier.name());
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_verdict_scan_parity_across_tiers() {
-    let tiers = simd::tiers();
-    for &len in LANE_STRADDLING_LENS {
-        let zeros = vec![0u8; len];
-        for tier in &tiers {
-            assert!(!tier.verdict_any(&zeros), "len {len} tier {}", tier.name());
-        }
-        // A single relation byte at every offset must be found by every
-        // tier, wherever it lands relative to the 16/32-byte chunks.
-        let mut block = zeros;
-        for hot in 0..len {
-            block[hot] = 3;
-            for tier in &tiers {
-                assert!(
-                    tier.verdict_any(&block),
-                    "len {len} hot {hot} tier {}",
-                    tier.name()
-                );
-            }
-            block[hot] = 0;
-        }
-    }
-}
-
-#[test]
-fn simd_run_end_parity_across_tiers() {
-    let tiers = simd::tiers();
-    for seed in 0..CASES {
-        let mut rng = SeededRng::seed_from_u64(seed);
-        let len = 1 + rng.next_below(80) as usize;
-        let support = increasing_set(&mut rng, len);
-        let max_period = 1 + rng.next_below(40);
-        for start in 0..support.len() {
-            let expect = tiers[0].run_end(&support, start, max_period);
-            assert!(expect > start && expect <= support.len(), "seed {seed}");
-            for tier in &tiers[1..] {
-                assert_eq!(
-                    tier.run_end(&support, start, max_period),
-                    expect,
-                    "seed {seed} start {start} tier {}",
-                    tier.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_force_scalar_selects_the_scalar_table() {
-    // The pure selection step must route to scalar when forced...
-    assert_eq!(simd::select(true).name(), "scalar");
-    // ...and the env-driven cached choice must agree with the cached env
-    // snapshot. In the STPM_FORCE_SCALAR=1 CI leg this pins the scalar
-    // route through the public entry point; in the default leg it pins
-    // detection.
-    assert_eq!(
-        simd::kernels().name(),
-        simd::select(simd::force_scalar_requested()).name()
-    );
-    if simd::force_scalar_requested() {
-        assert_eq!(simd::kernels().name(), "scalar");
-    } else {
-        assert_eq!(simd::kernels().name(), simd::detected().name());
-    }
 }
