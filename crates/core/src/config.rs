@@ -106,10 +106,10 @@ impl PruningMode {
 /// User-facing configuration of the STPM miner.
 ///
 /// Deliberately excludes operational resource limits: a memory budget (see
-/// `fault::MemoryBudget`) caps one *deployment* of a miner, not the mining
-/// semantics, and the snapshot config section must round-trip exactly the
-/// parameters that shape mined output. Budgets and retry policies are set
-/// on the streaming pipeline instead.
+/// `fault::MemoryBudget`) caps one *deployment* of many miners, not the
+/// mining semantics, and the snapshot config section must round-trip
+/// exactly the parameters that shape mined output. The budget is set on the
+/// service tier and retry policies on the streaming pipeline instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StpmConfig {
     /// `maxPeriod`: maximal period between two consecutive granules of a near

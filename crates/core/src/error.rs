@@ -64,18 +64,6 @@ pub enum Error {
         /// The underlying I/O error message.
         reason: String,
     },
-    /// A memory budget was exceeded *and* the graceful-degradation path
-    /// (spilling the miner to a cold file) itself failed. Exceeding the
-    /// budget alone never surfaces an error — the pipeline spills and
-    /// keeps accepting appends.
-    BudgetExceeded {
-        /// Live miner footprint at the time of the failed spill, in bytes.
-        live_bytes: u64,
-        /// The configured budget, in bytes.
-        budget_bytes: u64,
-        /// Why the spill failed (underlying I/O error message).
-        reason: String,
-    },
 }
 
 impl Error {
@@ -119,15 +107,6 @@ impl fmt::Display for Error {
                 )
             }
             Error::SnapshotIo { reason } => write!(f, "snapshot I/O failed: {reason}"),
-            Error::BudgetExceeded {
-                live_bytes,
-                budget_bytes,
-                reason,
-            } => write!(
-                f,
-                "memory budget exceeded ({live_bytes} live bytes over a {budget_bytes}-byte \
-                 budget) and the spill failed: {reason}"
-            ),
         }
     }
 }
@@ -172,13 +151,5 @@ mod tests {
         .contains("epsilon"));
         let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
         assert!(Error::snapshot_io(&io).to_string().contains("gone"));
-        let b = Error::BudgetExceeded {
-            live_bytes: 2048,
-            budget_bytes: 1024,
-            reason: "disk full".into(),
-        };
-        assert!(b.to_string().contains("2048"));
-        assert!(b.to_string().contains("1024"));
-        assert!(b.to_string().contains("disk full"));
     }
 }

@@ -11,16 +11,16 @@
 //! fsync, or return transient `EAGAIN`-style errors — all reproducibly from
 //! a seed, with no wall-clock or OS randomness involved.
 //!
-//! Two more pieces live here because they are consumed by the same callers:
+//! Two more pieces live here because they sit on the same persistence path:
 //!
 //! * [`RetryPolicy`] — bounded retries with exponential backoff and
 //!   deterministic seeded jitter, applied to WAL appends and snapshot
 //!   writes. Only *transient* errors ([`RetryPolicy::is_transient`]) are
 //!   retried; permanent failures surface immediately.
-//! * [`MemoryBudget`] — a per-miner cap on live state. The streaming
-//!   pipeline spills a miner that exceeds its budget to a cold file and
-//!   rehydrates it on the next append (graceful degradation rather than
-//!   unbounded growth).
+//! * [`MemoryBudget`] — a cap on the resident state of a whole service.
+//!   The service tier evicts its coldest tenants to their snapshot files
+//!   while the budget is exceeded and recovers them on next touch
+//!   (graceful degradation rather than unbounded growth).
 //!
 //! The crash model mirrors what the durability code assumes of a real
 //! filesystem: writing mutates *volatile* content only; `fsync` on a file
@@ -87,10 +87,6 @@ pub mod failpoints {
     pub const RECOVER_READ_SNAPSHOT: Failpoint = "recover.read_snapshot";
     /// Reading the WAL file during `recover`.
     pub const RECOVER_READ_WAL: Failpoint = "recover.read_wal";
-    /// Writing a spill file when a memory budget is exceeded.
-    pub const BUDGET_SPILL_WRITE: Failpoint = "budget.spill_write";
-    /// Reading a spill file back to rehydrate a spilled miner.
-    pub const BUDGET_REHYDRATE_READ: Failpoint = "budget.rehydrate_read";
 
     /// Every failpoint the persistence path registers, in pipeline order.
     ///
@@ -115,8 +111,6 @@ pub mod failpoints {
         WAL_RESET,
         RECOVER_READ_SNAPSHOT,
         RECOVER_READ_WAL,
-        BUDGET_SPILL_WRITE,
-        BUDGET_REHYDRATE_READ,
     ];
 }
 
@@ -805,20 +799,21 @@ impl RetryPolicy {
     }
 }
 
-/// A cap on the live heap footprint of one streaming miner.
+/// A cap on the resident bytes of a multi-tenant service.
 ///
-/// When `StreamingMiner::footprint_bytes()` exceeds the budget after an
-/// append, the pipeline spills the miner to a cold file and rehydrates it
-/// on the next append. The budget never rejects data; it trades memory for
-/// spill I/O, and only a *failed* spill surfaces as
-/// `Error::BudgetExceeded`.
+/// When the summed resident footprint of the live tenants exceeds the
+/// budget after a request, the service evicts tenants coldest-first: each
+/// victim takes a durable snapshot and drops its in-memory pipeline, and
+/// its next request recovers it from that snapshot plus the WAL tail. The
+/// budget never rejects data; it trades memory for snapshot and recovery
+/// I/O, and a failed eviction leaves the tenant live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     max_live_bytes: u64,
 }
 
 impl MemoryBudget {
-    /// A budget of `max_live_bytes` bytes of live miner state.
+    /// A budget of `max_live_bytes` resident bytes.
     #[must_use]
     pub const fn bytes(max_live_bytes: u64) -> Self {
         Self { max_live_bytes }
@@ -830,7 +825,7 @@ impl MemoryBudget {
         self.max_live_bytes
     }
 
-    /// Whether a live footprint of `live_bytes` exceeds the budget.
+    /// Whether a resident footprint of `live_bytes` exceeds the budget.
     #[must_use]
     pub const fn is_exceeded_by(&self, live_bytes: u64) -> bool {
         live_bytes > self.max_live_bytes

@@ -858,7 +858,9 @@ fn decode_level(
 // Whole-miner encode / decode
 // ---------------------------------------------------------------------------
 
-fn encode_miner(miner: &StreamingMiner, checkpoint_id: u64) -> Vec<u8> {
+/// Encodes the whole miner under the *next* checkpoint id, which only
+/// [`StreamingMiner::mark_snapshot_durable`] commits.
+fn encode_miner(miner: &StreamingMiner) -> Vec<u8> {
     let mut out = Vec::new();
     write_header(&mut out, KIND_MINER);
     write_section(&mut out, SEC_CONFIG, &encode_config(&miner.config));
@@ -866,7 +868,7 @@ fn encode_miner(miner: &StreamingMiner, checkpoint_id: u64) -> Vec<u8> {
     let mut state = ByteWriter::new();
     state.put_u64(miner.num_granules);
     state.put_u64(miner.batches_absorbed);
-    state.put_u64(checkpoint_id);
+    state.put_u64(miner.checkpoint_id + 1);
     write_section(&mut out, SEC_STATE, state.bytes());
     write_section(&mut out, SEC_EVENTS, &encode_events(miner));
     for level in &miner.levels {
@@ -1039,7 +1041,7 @@ impl StreamingMiner {
     /// calls leaves the checkpoint accounting untouched.
     #[must_use]
     pub fn encode_snapshot(&self) -> Vec<u8> {
-        encode_miner(self, self.checkpoint_id + 1)
+        encode_miner(self)
     }
 
     /// Commits the checkpoint bump of the most recent
@@ -1099,42 +1101,6 @@ impl StreamingMiner {
             pending_granules: self.pending_granules(),
             io_retries: 0,
         }
-    }
-
-    /// Encodes the state for a *spill* — an eviction of the live miner to a
-    /// cold file under a memory budget — carrying the **current** checkpoint
-    /// id, unlike [`StreamingMiner::encode_snapshot`] which carries the next
-    /// one. A spill is a cache of live memory, not a checkpoint: it must not
-    /// advance the id sequence or touch the pending-granule watermark, or a
-    /// later real snapshot would disagree byte-for-byte with an
-    /// unconstrained run.
-    #[must_use]
-    pub fn encode_spill(&self) -> Vec<u8> {
-        encode_miner(self, self.checkpoint_id)
-    }
-
-    /// Rebuilds a miner from [`StreamingMiner::encode_spill`] bytes,
-    /// restoring the pending-granule watermark that a plain restore resets
-    /// (a restored *snapshot* has nothing pending by definition; a
-    /// rehydrated *spill* still owes `pending_granules` to the next real
-    /// snapshot).
-    ///
-    /// # Errors
-    /// As [`StreamingMiner::restore_with`], plus [`Error::SnapshotCorrupt`]
-    /// when `pending_granules` exceeds the absorbed granule count.
-    pub fn rehydrate(config: &StpmConfig, bytes: &[u8], pending_granules: u64) -> Result<Self> {
-        let mut miner = decode_miner(bytes, Some(config))?;
-        if pending_granules > miner.num_granules {
-            return Err(Error::SnapshotCorrupt {
-                reason: format!(
-                    "spill metadata claims {pending_granules} pending granules but the spill \
-                     holds only {}",
-                    miner.num_granules
-                ),
-            });
-        }
-        miner.granules_at_snapshot = miner.num_granules - pending_granules;
-        Ok(miner)
     }
 }
 
@@ -1424,38 +1390,6 @@ mod tests {
         let mut clean = mined_miner();
         assert_eq!(retried, snapshot_bytes(&mut clean));
         assert_eq!(miner.checkpoint_meta().checkpoint_id, 1);
-    }
-
-    #[test]
-    fn spill_rehydrate_preserves_checkpoint_accounting_and_snapshot_bytes() {
-        let dseq = sample_dseq();
-        let config = sample_config();
-        let mut unconstrained = StreamingMiner::new(&config, dseq.registry()).unwrap();
-        unconstrained.append_batch(&dseq.sequences()[..3]).unwrap();
-        let _ = snapshot_bytes(&mut unconstrained);
-        unconstrained.append_batch(&dseq.sequences()[3..5]).unwrap();
-        let meta = unconstrained.checkpoint_meta();
-        assert_eq!((meta.checkpoint_id, meta.pending_granules), (1, 2));
-
-        // Spill mid-stream: the cold bytes carry the *current* id, and
-        // rehydration restores the pending watermark exactly.
-        let spill = unconstrained.encode_spill();
-        let mut rehydrated =
-            StreamingMiner::rehydrate(&config, &spill, meta.pending_granules).unwrap();
-        assert_eq!(rehydrated.checkpoint_meta(), meta);
-
-        // Both sides finish the stream; the next real snapshot must be
-        // byte-identical, or a budget-constrained run would diverge.
-        unconstrained.append_batch(&dseq.sequences()[5..]).unwrap();
-        rehydrated.append_batch(&dseq.sequences()[5..]).unwrap();
-        assert_eq!(
-            snapshot_bytes(&mut unconstrained),
-            snapshot_bytes(&mut rehydrated)
-        );
-
-        // A spill claiming more pending granules than it holds is corrupt.
-        let err = StreamingMiner::rehydrate(&config, &spill, 1_000).unwrap_err();
-        assert!(matches!(err, Error::SnapshotCorrupt { .. }));
     }
 
     #[test]

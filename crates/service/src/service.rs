@@ -336,10 +336,10 @@ impl Inner {
             }
         };
         // Enforce the memory budget *before* acknowledging: when the fleet
-        // is over budget the daemon pays the spill cost in the request path
-        // (backpressure) instead of letting residency run ahead of the
-        // budget — and observers see enforced state the moment an ack
-        // lands. The state lock is already released; eviction try-locks.
+        // is over budget the daemon pays for the eviction snapshots in the
+        // request path (backpressure) instead of letting residency run
+        // ahead of the budget — and observers see enforced state the moment
+        // an ack lands. The state lock is already released; eviction try-locks.
         self.enforce_budget(tenant);
         // A dropped receiver is a disconnected client, not an error.
         let _ = job.reply.send(response);
@@ -378,13 +378,13 @@ impl Inner {
                 return;
             }
             if let Ok(mut state) = slot.state.try_lock() {
-                // A failed spill leaves the tenant live; stay over budget
-                // and let a later pass retry.
+                // A failed eviction snapshot leaves the tenant live; stay
+                // over budget and let a later pass retry.
                 let _ = state.evict(&self.env);
             }
         }
         if over(&self.env) {
-            // Everyone else is cold: spill the current tenant too.
+            // Everyone else is cold: evict the current tenant too.
             if let Some(slot) = Self::lock(&self.registry).get(current).map(Arc::clone) {
                 if let Ok(mut state) = slot.state.try_lock() {
                     let _ = state.evict(&self.env);

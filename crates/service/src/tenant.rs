@@ -289,8 +289,8 @@ impl TenantState {
     ///
     /// # Errors
     /// The snapshot error. The pipeline is then **untouched** — a failed
-    /// spill leaves the tenant live and lossless, and the enforcer simply
-    /// stays over budget until a later attempt succeeds.
+    /// eviction snapshot leaves the tenant live and lossless, and the
+    /// enforcer simply stays over budget until a later attempt succeeds.
     // lint: durable
     pub(crate) fn evict(&mut self, env: &TenantEnv) -> Result<bool, ServiceError> {
         let Some(pipeline) = self.pipeline.as_mut() else {

@@ -1,6 +1,6 @@
 //! Functional tests of the service tier: admission control and typed
 //! backpressure, deadlines, quarantine isolation, eviction/rehydration
-//! identity, failed-spill liveness, graceful drain, and the TCP front end.
+//! identity, failed-eviction liveness, graceful drain, and the TCP front end.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -225,7 +225,7 @@ fn eviction_and_rehydration_preserve_tenant_state_exactly() {
     let run = |budget: Option<MemoryBudget>| {
         let mut cfg = config();
         cfg.memory_budget = budget;
-        let (service, _fs) = service(cfg);
+        let (service, fs) = service(cfg.clone());
         for phase in 0..4 {
             for tenant in ["alpha", "beta"] {
                 assert!(matches!(
@@ -239,13 +239,33 @@ fn eviction_and_rehydration_preserve_tenant_state_exactly() {
             patterns_of(&service, "beta"),
             service.stats(),
         );
-        service.kill();
-        result
+        assert!(service.drain().failures.is_empty());
+        // Each tenant's durable files, recovered by a plain pipeline, carry
+        // the full result set: events, patterns, supports and seasons.
+        let durable = ["alpha", "beta"].map(|tenant| {
+            let dir = cfg.data_dir.join("tenants");
+            let mut pipeline = freqstpfts::Pipeline::builder()
+                .mapping_factor(cfg.mapping_factor)
+                .thresholds(cfg.thresholds.clone())
+                .into_streaming();
+            pipeline.set_storage(fs.clone());
+            pipeline
+                .recover(
+                    Some(&dir.join(format!("{tenant}.snap"))),
+                    &dir.join(format!("{tenant}.wal")),
+                )
+                .expect("the drained tenant recovers");
+            let report = pipeline.checkpoint().expect("the tenant mined granules");
+            stpm_core::canonical_result_set(report.events(), report.patterns())
+        });
+        (result, durable)
     };
-    let (alpha_free, beta_free, stats_free) = run(None);
-    let (alpha_tight, beta_tight, stats_tight) = run(Some(MemoryBudget::bytes(1)));
+    let ((alpha_free, beta_free, stats_free), durable_free) = run(None);
+    let ((alpha_tight, beta_tight, stats_tight), durable_tight) = run(Some(MemoryBudget::bytes(1)));
     assert_eq!(alpha_free, alpha_tight);
     assert_eq!(beta_free, beta_tight);
+    assert!(durable_free.iter().all(|set| !set.is_empty()));
+    assert_eq!(durable_free, durable_tight);
     assert_eq!(stats_free.evictions, 0);
     assert!(stats_tight.evictions > 0, "the budget must force evictions");
     assert!(stats_tight.rehydrations > 0, "cold tenants must rehydrate");

@@ -1,5 +1,5 @@
 //! Crash recovery: snapshot a streaming miner on shutdown, log every append
-//! to a write-ahead log in between, and rehydrate after a restart without
+//! to a write-ahead log in between, and recover after a restart without
 //! re-mining history.
 //!
 //! Run with: `cargo run --example streaming_restart`
@@ -34,11 +34,6 @@
 //!    removed by the snapshot path itself; torn WAL tails are truncated on
 //!    attach. If recovery reports a typed corruption error, keep the files
 //!    for inspection — nothing will panic or overwrite them.
-//! 5. **Under memory pressure, budget instead of restarting.** With
-//!    [`StreamingPipeline::set_memory_budget`] the miner spills to a cold
-//!    file between appends and rehydrates on demand; checkpoints are
-//!    byte-identical to an unbudgeted run, so the budget can be added or
-//!    removed at any restart.
 
 use freqstpfts::prelude::*;
 use std::path::Path;
@@ -170,14 +165,6 @@ fn second_process(readings: &[(&str, Vec<f64>)], snap_path: &Path, wal_path: &Pa
         if recovery.io_retries == 1 { "y" } else { "ies" },
     );
     assert_eq!(stream.num_granules(), 10, "the crash lost nothing");
-
-    // This monitor is memory-constrained: between appends the miner state
-    // is spilled to a cold file and rehydrated on demand. Checkpoints stay
-    // byte-identical to an unbudgeted run, so this changes economics, not
-    // results. (A 1-byte budget spills after every append — a real
-    // deployment would size this to its container limit.)
-    let spill_path = wal_path.with_file_name("monitor.spill");
-    stream.set_memory_budget(MemoryBudget::bytes(1), &spill_path);
 
     // Business as usual: the feed continues where the crash cut it off.
     stream

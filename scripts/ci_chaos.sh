@@ -2,7 +2,9 @@
 # Chaos gate: the deterministic fault-injection sweep. Crashes the
 # persistence stack at every registered failpoint and requires recovery to
 # be byte-identical with zero acknowledged-granule loss, plus the
-# budget-spill identity and torn-tail scenarios.
+# torn-tail, failed-WAL-append, lying-fsync, transient-retry and
+# failed-snapshot scenarios and the check that the suite reaches every
+# registered failpoint.
 #
 # CI's analysis job executes this exact script, so a local
 # `scripts/ci_chaos.sh` reproduces the chaos gate bit for bit. Everything

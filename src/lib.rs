@@ -52,7 +52,7 @@ pub use stpm_timeseries as timeseries;
 
 use stpm_approx::AStpmMiner;
 use stpm_baseline::ApsGrowth;
-use stpm_core::fault::{failpoints, MemoryBudget, RealFs, RetryPolicy, StorageBackend};
+use stpm_core::fault::{failpoints, RealFs, RetryPolicy, StorageBackend};
 use stpm_core::snapshot::{self, ByteReader, ByteWriter, CheckpointMeta};
 use stpm_core::{
     EngineReport, MiningEngine, MiningInput, MiningReport, StpmConfig, StpmMiner, StreamingMiner,
@@ -324,9 +324,8 @@ impl Pipeline {
             wal: None,
             storage: Box::new(RealFs),
             retry: RetryPolicy::default(),
-            budget: None,
-            spill_path: None,
             io_retries: 0,
+            wal_behind: false,
         }
     }
 
@@ -355,36 +354,7 @@ impl Pipeline {
 struct StreamState {
     dsyb: SymbolicDatabase,
     dseq: SequenceDatabase,
-    miner: MinerSlot,
-}
-
-/// Where the incremental miner currently lives: in memory, or spilled to a
-/// cold file because a [`MemoryBudget`] was exceeded. The raw databases
-/// (`dsyb`/`dseq`) always stay in memory — the budget targets the miner's
-/// pattern arenas and season trackers, which dominate the footprint.
-enum MinerSlot {
-    /// The miner is live in memory (boxed: the miner dwarfs the spilled
-    /// variant, and moving the slot should not copy the arenas).
-    Live(Box<StreamingMiner>),
-    /// The miner was spilled; only its checkpoint position is retained.
-    Spilled(SpilledMiner),
-}
-
-/// What remains in memory of a spilled miner: the checkpoint position the
-/// cold file was written under, used to answer observability queries without
-/// rehydrating and to restore the pending-granule watermark on rehydration.
-struct SpilledMiner {
-    meta: CheckpointMeta,
-}
-
-impl MinerSlot {
-    /// The miner's checkpoint position, served from memory in both states.
-    fn meta(&self) -> CheckpointMeta {
-        match self {
-            MinerSlot::Live(miner) => miner.checkpoint_meta(),
-            MinerSlot::Spilled(spilled) => spilled.meta,
-        }
-    }
+    miner: StreamingMiner,
 }
 
 /// The streaming counterpart of [`Pipeline`]: raw samples arrive in batches,
@@ -444,15 +414,13 @@ pub struct StreamingPipeline {
     storage: Box<dyn StorageBackend + Send + Sync>,
     /// Applied to WAL appends, snapshot writes and recovery reads.
     retry: RetryPolicy,
-    /// Optional cap on the live miner footprint; exceeding it spills the
-    /// miner to `spill_path`.
-    budget: Option<MemoryBudget>,
-    /// Where a budget-exceeding miner is spilled. Always `Some` when
-    /// `budget` is.
-    spill_path: Option<std::path::PathBuf>,
     /// Transient I/O retries absorbed so far (surfaced through
     /// [`StreamingPipeline::checkpoint_meta`] and [`RecoveryReport`]).
     io_retries: u64,
+    /// Set when a WAL append failed after its batch was absorbed: memory is
+    /// then ahead of the log, and a later record would not continue it.
+    /// Appends are refused until `snapshot_to` or `recover` closes the gap.
+    wal_behind: bool,
 }
 
 /// An attached write-ahead log: the open file, its path (kept so
@@ -477,8 +445,8 @@ impl std::fmt::Debug for StreamingPipeline {
                 "wal",
                 &self.wal.as_ref().map(|w| w.path.display().to_string()),
             )
-            .field("budget", &self.budget)
             .field("io_retries", &self.io_retries)
+            .field("wal_behind", &self.wal_behind)
             .finish()
     }
 }
@@ -516,14 +484,22 @@ impl StreamingPipeline {
     /// set; mining errors from the incremental engine;
     /// [`PipelineError::Persistence`] when WAL logging fails after retries
     /// (the batch *is* absorbed in memory, but its durability is not
-    /// guaranteed) or when a memory budget was exceeded and the spill
-    /// itself failed ([`stpm_core::Error::BudgetExceeded`]; the batch is
-    /// absorbed and durable, only the eviction fell through).
+    /// guaranteed). Memory is then ahead of the log, so every later append
+    /// fails with [`PipelineError::Persistence`] too, until a successful
+    /// [`snapshot_to`](StreamingPipeline::snapshot_to) covers memory or
+    /// [`recover`](StreamingPipeline::recover) rebuilds it from disk.
     // lint: durable
     pub fn append_symbolic(
         &mut self,
         batch: &SymbolicDatabase,
     ) -> Result<EngineReport, PipelineError> {
+        if self.wal_behind {
+            return Err(PipelineError::Persistence(stpm_core::Error::SnapshotIo {
+                reason: "a failed WAL append left memory ahead of the log; snapshot_to or \
+                         recover before appending again"
+                    .into(),
+            }));
+        }
         let start_instants = self.state.as_ref().map_or(0, |s| s.dsyb.len() as u64);
         self.absorb_symbolic(batch)?;
         if let Some(wal) = self.wal.as_mut() {
@@ -540,14 +516,17 @@ impl StreamingPipeline {
                 wal.file.sync_all(failpoints::WAL_APPEND_SYNC)
             });
             self.io_retries += retries;
-            appended.map_err(|e| PipelineError::Persistence(stpm_core::Error::snapshot_io(&e)))?;
+            if let Err(e) = appended {
+                self.wal_behind = true;
+                return Err(PipelineError::Persistence(stpm_core::Error::snapshot_io(
+                    &e,
+                )));
+            }
             wal.len = base_len + record.len() as u64;
         }
         // The batch is durable (or no durability was requested): it may now
         // be acknowledged with a checkpoint report.
-        let report = self.checkpoint()?;
-        self.enforce_budget()?;
-        Ok(report)
+        self.checkpoint()
     }
 
     /// Folds a symbolized batch into the in-memory state (databases + miner)
@@ -563,8 +542,6 @@ impl StreamingPipeline {
                 },
             ));
         }
-        // A spilled miner must be back in memory before it can absorb.
-        self.ensure_live()?;
         match &mut self.state {
             None => {
                 let dsyb = batch.clone();
@@ -576,11 +553,7 @@ impl StreamingPipeline {
                 );
                 let miner = StreamingMiner::new(&self.config, dsyb.registry())
                     .map_err(PipelineError::Mining)?;
-                self.state = Some(StreamState {
-                    dsyb,
-                    dseq,
-                    miner: MinerSlot::Live(Box::new(miner)),
-                });
+                self.state = Some(StreamState { dsyb, dseq, miner });
             }
             Some(state) => {
                 state
@@ -594,93 +567,11 @@ impl StreamingPipeline {
             .dseq
             .append_from_symbolic(&state.dsyb)
             .map_err(PipelineError::Transform)?;
-        let MinerSlot::Live(miner) = &mut state.miner else {
-            unreachable!("ensure_live rehydrated the miner above");
-        };
-        miner
+        state
+            .miner
             .append_batch(appended)
             .map_err(PipelineError::Mining)?;
         Ok(())
-    }
-
-    /// Rehydrates a spilled miner from its cold file, restoring the
-    /// pending-granule watermark the spill was taken under. A no-op when the
-    /// miner is live (the common case — this is the degraded path's cost).
-    fn ensure_live(&mut self) -> Result<(), PipelineError> {
-        let Some(state) = &mut self.state else {
-            return Ok(());
-        };
-        let MinerSlot::Spilled(spilled) = &state.miner else {
-            return Ok(());
-        };
-        let meta = spilled.meta;
-        let path = self
-            .spill_path
-            .clone()
-            .ok_or_else(|| internal_error("a miner is spilled but no spill path is configured"))?;
-        let retry = self.retry;
-        let mut retries = 0_u64;
-        let bytes = retry.run(failpoints::BUDGET_REHYDRATE_READ, &mut retries, || {
-            self.storage.read(failpoints::BUDGET_REHYDRATE_READ, &path)
-        });
-        self.io_retries += retries;
-        let bytes =
-            bytes.map_err(|e| PipelineError::Persistence(stpm_core::Error::snapshot_io(&e)))?;
-        let miner = StreamingMiner::rehydrate(&self.config, &bytes, meta.pending_granules)
-            .map_err(PipelineError::Persistence)?;
-        let state = self.state.as_mut().expect("state presence checked above");
-        state.miner = MinerSlot::Live(Box::new(miner));
-        Ok(())
-    }
-
-    /// Spills the live miner to the configured cold file when its footprint
-    /// exceeds the memory budget. Called after every acknowledged append;
-    /// a no-op without a budget or while under it.
-    fn enforce_budget(&mut self) -> Result<(), PipelineError> {
-        let Some(budget) = self.budget else {
-            return Ok(());
-        };
-        let Some(state) = &mut self.state else {
-            return Ok(());
-        };
-        let MinerSlot::Live(miner) = &state.miner else {
-            return Ok(());
-        };
-        let live_bytes = miner.footprint_bytes() as u64;
-        if !budget.is_exceeded_by(live_bytes) {
-            return Ok(());
-        }
-        let path = self
-            .spill_path
-            .clone()
-            .ok_or_else(|| internal_error("a memory budget is set but no spill path is"))?;
-        let bytes = miner.encode_spill();
-        let meta = miner.checkpoint_meta();
-        let retry = self.retry;
-        let mut retries = 0_u64;
-        let written = retry.run(failpoints::BUDGET_SPILL_WRITE, &mut retries, || {
-            let mut file = self.storage.create(failpoints::BUDGET_SPILL_WRITE, &path)?;
-            file.write_all(failpoints::BUDGET_SPILL_WRITE, &bytes)
-        });
-        self.io_retries += retries;
-        match written {
-            Ok(()) => {
-                // Only now may the live miner be dropped.
-                let state = self.state.as_mut().expect("state presence checked above");
-                state.miner = MinerSlot::Spilled(SpilledMiner { meta });
-                Ok(())
-            }
-            // Graceful degradation has a typed failure mode of its own: the
-            // miner stays live (nothing is lost), and the caller learns the
-            // budget could not be honoured.
-            Err(e) => Err(PipelineError::Persistence(
-                stpm_core::Error::BudgetExceeded {
-                    live_bytes,
-                    budget_bytes: budget.max_live_bytes(),
-                    reason: e.to_string(),
-                },
-            )),
-        }
     }
 
     /// Emits the checkpoint report of everything absorbed so far without
@@ -693,19 +584,8 @@ impl StreamingPipeline {
     /// Mining errors from the incremental engine.
     pub fn checkpoint(&self) -> Result<EngineReport, PipelineError> {
         match &self.state {
-            Some(StreamState {
-                miner: MinerSlot::Live(miner),
-                ..
-            }) if miner.num_granules() > 0 => miner.checkpoint().map_err(PipelineError::Mining),
-            Some(StreamState {
-                miner: MinerSlot::Spilled(spilled),
-                ..
-            }) if spilled.meta.granules_absorbed > 0 => {
-                // Reporting on a spilled miner rehydrates a transient copy;
-                // the persistent slot stays cold. Identical bytes in, so the
-                // report is identical to an unconstrained run's.
-                let miner = self.read_spilled(spilled)?;
-                miner.checkpoint().map_err(PipelineError::Mining)
+            Some(state) if state.miner.num_granules() > 0 => {
+                state.miner.checkpoint().map_err(PipelineError::Mining)
             }
             state => {
                 // Nothing mined yet: an empty report over whatever registry
@@ -735,32 +615,10 @@ impl StreamingPipeline {
         }
     }
 
-    /// Reads and decodes the spill file of a spilled miner without touching
-    /// the pipeline's slot — shared by read-only reporting (`checkpoint`)
-    /// which must not mutate, unlike `ensure_live`. Retry bookkeeping is
-    /// local (a `&self` reader cannot update the pipeline counter).
-    fn read_spilled(&self, spilled: &SpilledMiner) -> Result<StreamingMiner, PipelineError> {
-        let path = self
-            .spill_path
-            .as_deref()
-            .ok_or_else(|| internal_error("a miner is spilled but no spill path is configured"))?;
-        let mut retries = 0_u64;
-        let bytes = self
-            .retry
-            .run(failpoints::BUDGET_REHYDRATE_READ, &mut retries, || {
-                self.storage.read(failpoints::BUDGET_REHYDRATE_READ, path)
-            })
-            .map_err(|e| PipelineError::Persistence(stpm_core::Error::snapshot_io(&e)))?;
-        StreamingMiner::rehydrate(&self.config, &bytes, spilled.meta.pending_granules)
-            .map_err(PipelineError::Persistence)
-    }
-
     /// Number of complete granules absorbed so far.
     #[must_use]
     pub fn num_granules(&self) -> u64 {
-        self.state
-            .as_ref()
-            .map_or(0, |s| s.miner.meta().granules_absorbed)
+        self.state.as_ref().map_or(0, |s| s.miner.num_granules())
     }
 
     /// Raw instants received that do not yet fill a complete granule.
@@ -790,7 +648,7 @@ impl StreamingPipeline {
     pub fn pending_granules(&self) -> u64 {
         self.state
             .as_ref()
-            .map_or(0, |s| s.miner.meta().pending_granules)
+            .map_or(0, |s| s.miner.pending_granules())
     }
 
     /// The durable-state position of the underlying miner: checkpoint id,
@@ -807,14 +665,14 @@ impl StreamingPipeline {
                 pending_granules: 0,
                 io_retries: 0,
             },
-            |s| s.miner.meta(),
+            |s| s.miner.checkpoint_meta(),
         );
         meta.io_retries = self.io_retries;
         meta
     }
 
     /// Transient I/O retries absorbed by the persistence layer so far (WAL
-    /// appends, snapshot writes, recovery and spill reads). A growing value
+    /// appends, snapshot writes and recovery reads). A growing value
     /// under a healthy workload signals a degrading disk before it turns
     /// into permanent failures.
     #[must_use]
@@ -823,18 +681,15 @@ impl StreamingPipeline {
     }
 
     /// Approximate in-memory footprint of the pipeline's streaming state:
-    /// the miner's arena footprint (zero while spilled) plus the growing
-    /// symbolic and sequence databases. An estimate for admission-control
-    /// and eviction accounting, not an allocator-exact measurement.
+    /// the miner's arena footprint plus the growing symbolic and sequence
+    /// databases. An estimate for admission-control and eviction
+    /// accounting, not an allocator-exact measurement.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         let Some(state) = &self.state else {
             return 0;
         };
-        let miner = match &state.miner {
-            MinerSlot::Live(miner) => miner.footprint_bytes() as u64,
-            MinerSlot::Spilled(_) => 0,
-        };
+        let miner = state.miner.footprint_bytes() as u64;
         let series = state.dsyb.num_series() as u64;
         // 2 bytes per stored symbol (`SymbolId` is a u16) plus a nominal
         // per-granule instance overhead for the sequence database.
@@ -857,25 +712,6 @@ impl StreamingPipeline {
     /// 1 ms exponential backoff; [`RetryPolicy::none`] disables retrying.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
-    }
-
-    /// Caps the live miner footprint at `budget`, spilling the miner to
-    /// `spill_path` whenever an acknowledged append leaves it over the cap.
-    /// The spill file is a process-lifetime cache, not durable state —
-    /// crash recovery goes through the snapshot and WAL as always.
-    pub fn set_memory_budget(
-        &mut self,
-        budget: MemoryBudget,
-        spill_path: impl AsRef<std::path::Path>,
-    ) {
-        self.budget = Some(budget);
-        self.spill_path = Some(spill_path.as_ref().to_path_buf());
-    }
-
-    /// Removes the memory budget. A currently spilled miner stays spilled
-    /// until the next append rehydrates it.
-    pub fn clear_memory_budget(&mut self) {
-        self.budget = None;
     }
 }
 
@@ -930,9 +766,8 @@ impl StreamingPipeline {
     // lint: durable
     pub fn snapshot_to(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), PipelineError> {
         let io = |e: &std::io::Error| PipelineError::Persistence(stpm_core::Error::snapshot_io(e));
-        self.ensure_live()?;
         let path = path.as_ref();
-        let bytes = self.encode_snapshot()?;
+        let bytes = self.encode_snapshot();
         let mut tmp_name = path
             .file_name()
             .map_or_else(|| "snapshot".into(), std::ffi::OsString::from);
@@ -970,13 +805,12 @@ impl StreamingPipeline {
                 .remove_file(failpoints::SNAPSHOT_REMOVE_TMP, &tmp);
             return Err(io(&e));
         }
-        if let Some(StreamState {
-            miner: MinerSlot::Live(miner),
-            ..
-        }) = &mut self.state
-        {
-            miner.mark_snapshot_durable();
+        if let Some(state) = &mut self.state {
+            state.miner.mark_snapshot_durable();
         }
+        // The durable snapshot covers memory, so the log may continue from
+        // it even if a failed append had left memory ahead of the log.
+        self.wal_behind = false;
         self.reset_wal()
     }
 
@@ -995,20 +829,15 @@ impl StreamingPipeline {
         &mut self,
         out: &mut impl std::io::Write,
     ) -> Result<(), PipelineError> {
-        self.ensure_live()?;
-        let bytes = self.encode_snapshot()?;
+        let bytes = self.encode_snapshot();
         // The probe gives fault plans a hook on this path even though the
         // writer itself is caller-supplied and outside the backend.
         self.storage
             .failpoint(failpoints::WRITER_WRITE)
             .and_then(|()| out.write_all(&bytes))
             .map_err(|e| PipelineError::Persistence(stpm_core::Error::snapshot_io(&e)))?;
-        if let Some(StreamState {
-            miner: MinerSlot::Live(miner),
-            ..
-        }) = &mut self.state
-        {
-            miner.mark_snapshot_durable();
+        if let Some(state) = &mut self.state {
+            state.miner.mark_snapshot_durable();
         }
         Ok(())
     }
@@ -1016,9 +845,8 @@ impl StreamingPipeline {
     /// Encodes the full pipeline snapshot without committing the miner's
     /// checkpoint bump (the embedded miner section carries the *next*
     /// checkpoint id; callers commit via `mark_snapshot_durable` once the
-    /// bytes landed). Callers `ensure_live` first — a spilled miner cannot
-    /// be encoded from its metadata alone.
-    fn encode_snapshot(&self) -> Result<Vec<u8>, PipelineError> {
+    /// bytes landed).
+    fn encode_snapshot(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
         snapshot::write_header(&mut bytes, snapshot::KIND_PIPELINE);
         let mut pipe = ByteWriter::new();
@@ -1026,15 +854,10 @@ impl StreamingPipeline {
         pipe.put_u8(u8::from(self.state.is_some()));
         snapshot::write_section(&mut bytes, SEC_PIPE, pipe.bytes());
         if let Some(state) = &self.state {
-            let MinerSlot::Live(miner) = &state.miner else {
-                return Err(internal_error(
-                    "cannot encode a snapshot of a spilled miner — rehydrate first",
-                ));
-            };
             snapshot::write_section(&mut bytes, SEC_DSYB, &encode_dsyb(&state.dsyb));
-            snapshot::write_section(&mut bytes, SEC_MINER, &miner.encode_snapshot());
+            snapshot::write_section(&mut bytes, SEC_MINER, &state.miner.encode_snapshot());
         }
-        Ok(bytes)
+        bytes
     }
 
     /// Replaces this pipeline's state with one restored from a snapshot
@@ -1151,6 +974,7 @@ impl StreamingPipeline {
         let io = |e: &std::io::Error| PipelineError::Persistence(stpm_core::Error::snapshot_io(e));
         self.state = None;
         self.wal = None;
+        self.wal_behind = false;
         let retry = self.retry;
         if let Some(path) = snapshot_path {
             let read = retry.run(failpoints::RECOVER_READ_SNAPSHOT, retries, || {
@@ -1246,14 +1070,6 @@ fn parent_dir(path: &std::path::Path) -> Option<&std::path::Path> {
         } else {
             parent
         }
-    })
-}
-
-/// An invariant of the pipeline's own bookkeeping was violated (not an I/O
-/// failure and not corrupt data).
-fn internal_error(reason: &str) -> PipelineError {
-    PipelineError::Persistence(stpm_core::Error::Internal {
-        reason: reason.into(),
     })
 }
 
@@ -1426,11 +1242,7 @@ fn decode_pipeline_state(
             dseq.num_granules()
         )));
     }
-    Ok(Some(StreamState {
-        dsyb,
-        dseq,
-        miner: MinerSlot::Live(Box::new(miner)),
-    }))
+    Ok(Some(StreamState { dsyb, dseq, miner }))
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@ use std::path::Path;
 
 const SNAP: &str = "chaos/state.snap";
 const WAL: &str = "chaos/state.wal";
-const SPILL: &str = "chaos/miner.spill";
 const TOTAL_SAMPLES: usize = 90;
 
 /// The scripted workload: batch boundaries are multiples of the mapping
@@ -106,14 +105,10 @@ fn recover_fresh(
 /// recovering on every surfaced error, then crashes one final time and
 /// extracts the durable state. Returns the final snapshot bytes, the final
 /// checkpoint report, and how many crashes it survived.
-fn run_script_with(
-    fs: &FaultyFs,
-    series: &[TimeSeries],
-    configure: &dyn Fn(&mut StreamingPipeline),
-) -> (Vec<u8>, EngineReport, u32) {
+fn run_script(fs: &FaultyFs, series: &[TimeSeries]) -> (Vec<u8>, EngineReport, u32) {
     let mut crashes = 0u32;
     let mut acked_samples = 0usize;
-    let mut pipeline = recover_fresh(fs, configure, &mut crashes);
+    let mut pipeline = recover_fresh(fs, &|_| {}, &mut crashes);
     let mut i = 0;
     while i < SCRIPT.len() {
         let pos = pipeline.num_granules() as usize * 3;
@@ -151,7 +146,7 @@ fn run_script_with(
                 fs.crash();
                 fs.clear_faults();
                 crashes += 1;
-                pipeline = recover_fresh(fs, configure, &mut crashes);
+                pipeline = recover_fresh(fs, &|_| {}, &mut crashes);
                 assert!(
                     pipeline.num_granules() as usize * 3 >= acked_samples,
                     "acknowledged granules lost after crash {crashes}"
@@ -163,7 +158,7 @@ fn run_script_with(
     drop(pipeline);
     fs.crash();
     fs.clear_faults();
-    let mut survivor = recover_fresh(fs, configure, &mut crashes);
+    let mut survivor = recover_fresh(fs, &|_| {}, &mut crashes);
     assert_eq!(
         survivor.num_granules() as usize * 3,
         TOTAL_SAMPLES,
@@ -178,16 +173,12 @@ fn run_script_with(
                 fs.crash();
                 fs.clear_faults();
                 crashes += 1;
-                survivor = recover_fresh(fs, configure, &mut crashes);
+                survivor = recover_fresh(fs, &|_| {}, &mut crashes);
             }
         }
     };
     let report = survivor.checkpoint().expect("final checkpoint mines");
     (bytes, report, crashes)
-}
-
-fn run_script(fs: &FaultyFs, series: &[TimeSeries]) -> (Vec<u8>, EngineReport, u32) {
-    run_script_with(fs, series, &|_| {})
 }
 
 #[test]
@@ -229,79 +220,6 @@ fn a_crash_at_every_failpoint_recovers_byte_identically() {
         total_crashes > 0,
         "the sweep never actually crashed — the failpoints are not wired in"
     );
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "budget sweep mines repeatedly; too slow under miri")]
-fn budget_constrained_runs_match_unconstrained_byte_for_byte() {
-    let series = sample_series(TOTAL_SAMPLES);
-    let fs_free = FaultyFs::with_seed(11);
-    let (free_bytes, free_report, _) = run_script(&fs_free, &series);
-
-    // A one-byte budget forces a spill after every append and a rehydrate
-    // before the next — maximal churn through the cold path.
-    let with_budget = |p: &mut StreamingPipeline| {
-        p.set_memory_budget(MemoryBudget::bytes(1), SPILL);
-    };
-    let fs_budget = FaultyFs::with_seed(11);
-    let (budget_bytes, budget_report, _) = run_script_with(&fs_budget, &series, &with_budget);
-    assert!(
-        fs_budget.op_count(failpoints::BUDGET_SPILL_WRITE) > 0,
-        "the budget run never spilled"
-    );
-    assert!(
-        fs_budget.op_count(failpoints::BUDGET_REHYDRATE_READ) > 0,
-        "the budget run never rehydrated"
-    );
-    assert_eq!(
-        budget_bytes, free_bytes,
-        "budget-constrained snapshots must be byte-identical to unconstrained"
-    );
-    assert_eq!(budget_report.events(), free_report.events());
-    assert_eq!(budget_report.patterns(), free_report.patterns());
-}
-
-#[test]
-fn a_failed_spill_is_typed_and_does_not_lose_the_absorbed_batch() {
-    let series = sample_series(54);
-    let fs = FaultyFs::with_seed(13);
-    let mut crashes = 0;
-    let with_budget = |p: &mut StreamingPipeline| {
-        p.set_memory_budget(MemoryBudget::bytes(1), SPILL);
-    };
-    let mut pipeline = recover_fresh(&fs, &with_budget, &mut crashes);
-
-    // Spill failure: the append is absorbed and WAL-durable; only the
-    // eviction failed, surfaced as the dedicated budget variant.
-    fs.fail_nth(failpoints::BUDGET_SPILL_WRITE, 1);
-    let err = pipeline.append(&chunk(&series, 0, 18)).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            PipelineError::Persistence(freqstpfts::core::Error::BudgetExceeded { .. })
-        ),
-        "{err:?}"
-    );
-    assert_eq!(pipeline.num_granules(), 6, "the batch itself must survive");
-    // The miner stayed live, and the next append spills successfully.
-    pipeline.append(&chunk(&series, 18, 36)).unwrap();
-    assert_eq!(pipeline.num_granules(), 12);
-
-    // Rehydrate failure: the next append cannot reload the spilled miner —
-    // typed error, then crash + recover rebuilds everything from the WAL.
-    fs.fail_nth(
-        failpoints::BUDGET_REHYDRATE_READ,
-        fs.op_count(failpoints::BUDGET_REHYDRATE_READ) + 1,
-    );
-    let err = pipeline.append(&chunk(&series, 36, 54)).unwrap_err();
-    assert!(matches!(err, PipelineError::Persistence(_)), "{err:?}");
-    drop(pipeline);
-    fs.crash();
-    fs.clear_faults();
-    let mut recovered = recover_fresh(&fs, &with_budget, &mut crashes);
-    assert_eq!(recovered.num_granules(), 12, "acknowledged granules lost");
-    recovered.append(&chunk(&series, 36, 54)).unwrap();
-    assert_eq!(recovered.num_granules(), 18);
 }
 
 #[test]
@@ -347,6 +265,57 @@ fn a_torn_wal_tail_under_injected_faults_recovers_the_durable_prefix() {
     // The truncated log accepts new appends where the tear was.
     survivor.append(&chunk(&series, 18, 36)).unwrap();
     assert_eq!(survivor.num_granules(), 12);
+}
+
+#[test]
+fn a_failed_wal_append_refuses_later_appends_until_the_log_covers_memory() {
+    let fs = FaultyFs::with_seed(15);
+    let series = sample_series(48);
+    let fail_next_wal_append = || {
+        fs.fail_nth(
+            failpoints::WAL_APPEND,
+            fs.op_count(failpoints::WAL_APPEND) + 1,
+        );
+    };
+    let mut crashes = 0;
+    let mut pipeline = recover_fresh(&fs, &|_| {}, &mut crashes);
+    pipeline.append(&chunk(&series, 0, 12)).unwrap();
+
+    // The WAL write fails after the batch was absorbed: memory is now ahead
+    // of the log, and a record for the next batch would not continue it.
+    fail_next_wal_append();
+    let err = pipeline.append(&chunk(&series, 12, 24)).unwrap_err();
+    assert!(matches!(err, PipelineError::Persistence(_)), "{err:?}");
+    fs.clear_faults();
+    let refused = pipeline.append(&chunk(&series, 24, 36));
+    assert!(
+        matches!(refused, Err(PipelineError::Persistence(_))),
+        "an append the log cannot replay must not be acknowledged"
+    );
+
+    // Crash + recover: the log is intact and holds every acknowledged batch.
+    drop(pipeline);
+    fs.crash();
+    let mut recovered = stream_builder().into_streaming();
+    recovered.set_storage(fs.clone());
+    recovered
+        .recover(Some(Path::new(SNAP)), Path::new(WAL))
+        .unwrap();
+    assert_eq!(recovered.num_granules(), 4, "acknowledged granules lost");
+
+    // A durable snapshot closes the gap as well as recovery does: after it,
+    // appends are acknowledged again and survive a crash.
+    recovered.append(&chunk(&series, 12, 24)).unwrap();
+    fail_next_wal_append();
+    assert!(recovered.append(&chunk(&series, 24, 36)).is_err());
+    fs.clear_faults();
+    recovered.snapshot_to(Path::new(SNAP)).unwrap();
+    recovered.append(&chunk(&series, 36, 48)).unwrap();
+    drop(recovered);
+    fs.crash();
+    let survivor = recover_fresh(&fs, &|_| {}, &mut crashes);
+    assert_eq!(crashes, 0);
+    assert_eq!(survivor.num_granules(), 16, "acknowledged granules lost");
 }
 
 #[test]
@@ -484,13 +453,6 @@ fn the_chaos_suite_exercises_every_registered_failpoint() {
     let fs = FaultyFs::with_seed(1);
     fs.fail_nth(failpoints::SNAPSHOT_RENAME, 1);
     run_script(&fs, &series);
-    absorb(&fs);
-
-    // Budget-constrained run: exercises spill and rehydrate.
-    let fs = FaultyFs::with_seed(1);
-    run_script_with(&fs, &series, &|p| {
-        p.set_memory_budget(MemoryBudget::bytes(1), SPILL);
-    });
     absorb(&fs);
 
     // Torn-tail attach: exercises the WAL tail truncation.
