@@ -6,9 +6,10 @@
 //! ([`stpm_datagen::GeneratedDataset::arrival_batches`]): each batch is
 //! folded into the growing symbolic database, the *new* granules are built
 //! (`SequenceDatabase::append_from_symbolic`) and absorbed
-//! (`StreamingMiner::append`), and — for the comparison — the full prefix is
-//! re-mined from scratch with the batch engine (`D_SEQ` rebuild included,
-//! because that is the cost a batch-only system pays on every arrival).
+//! (`StreamingMiner::append_batch`, then `StreamingMiner::checkpoint`), and
+//! — for the comparison — the full prefix is re-mined from scratch with the
+//! batch engine (`D_SEQ` rebuild included, because that is the cost a
+//! batch-only system pays on every arrival).
 //!
 //! At **every** checkpoint the streaming pattern set (patterns, supports,
 //! seasons) is asserted identical to the batch re-mine — the experiment

@@ -8,9 +8,10 @@
 //! per-section CRCs, and a write-ahead log batches the granule appends that
 //! arrive between snapshots so a crash loses nothing durable.
 //!
-//! # Snapshot format (version 1)
+//! # Snapshot format (version 2)
 //!
-//! All integers are **little-endian**, fixed width. A snapshot is:
+//! The header, the section framing and the `CONFIG`, `REGISTRY` and `STATE`
+//! payloads use **little-endian**, fixed-width integers. A snapshot is:
 //!
 //! ```text
 //! header   := magic "STPMSNAP" (8 bytes) · version u32 · kind u32
@@ -22,6 +23,34 @@
 //! section, then `maxPatternLen − 1` `LEVEL` sections (k = 2, 3, …).
 //! Trailing bytes after the last section are rejected. The CRC is the
 //! standard IEEE CRC-32 (polynomial `0xEDB88320`).
+//!
+//! Inside the `EVENTS` and `LEVEL` payloads — nearly all of a snapshot's
+//! bytes — every integer is an unsigned **LEB128 varint** (7 bits per byte,
+//! low group first, high bit = "more bytes follow", at most 10 bytes, always
+//! the shortest form), and each ascending list is stored as gaps
+//! (`u8` below is a single tag byte):
+//!
+//! ```text
+//! events   := count · (label · support · tracker)*       labels ascending
+//! level    := k · count · (key-word{k + k(k−1)/2} · support · tracker)*
+//! support  := count · gap*          granule = previous granule (from 0) + gap
+//! tracker  := spans · best · current · prev_end? · pending?
+//! spans    := count · (gap · length)*     start = previous end (from 0) + gap
+//! prev_end := u8 0 | u8 1 · granule
+//! pending  := u8 0 | u8 1 · (u8 0 | u8 1 · kept_from) · first_kept · last
+//! ```
+//!
+//! Decoding keeps every structural check: a support gap of 0 (granules must
+//! ascend strictly), a support longer than the absorbed granule count or
+//! reaching past it, a span of length 0 or ending past its support, and a
+//! non-canonical or duplicate pattern key are all
+//! [`Error::SnapshotCorrupt`]. Gap sums are checked, so no input overflows.
+//!
+//! **Version 1** wrote the same fields as fixed-width integers (`u32`
+//! counts, span bounds and `kept_from`; `u64` granules, labels, key words
+//! and tracker fields) with supports as absolute granules. It stays
+//! readable — the field readers branch on the header's version — but is
+//! never written: the next snapshot of a restored v1 state is version 2.
 //!
 //! Derived state is *not* serialized: the per-level pattern index and group
 //! set are rebuilt from the interning keys, and the resolved configuration is
@@ -87,7 +116,10 @@ use stpm_timeseries::{EventLabel, EventRegistry, SeriesId, SymbolId};
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STPMSNAP";
 /// Newest snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
+/// Oldest snapshot format version this build still reads (it is never
+/// written).
+const OLDEST_SNAPSHOT_VERSION: u32 = 1;
 /// Header `kind` of a [`StreamingMiner`] snapshot.
 pub const KIND_MINER: u32 = 1;
 /// Header `kind` of a facade pipeline snapshot (which embeds a miner
@@ -221,6 +253,16 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
+    /// Appends an unsigned LEB128 varint: 7 bits per byte, low group first,
+    /// the high bit set on every byte but the last (1 to 10 bytes).
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends a length-prefixed UTF-8 string (`u32` byte length + bytes).
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(u32::try_from(s.len()).expect("string fits u32"));
@@ -318,6 +360,42 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
+    /// Reads an unsigned LEB128 varint written by [`ByteWriter::put_varint`].
+    /// Truncation, a varint longer than 10 bytes, a 10th byte that overflows
+    /// `u64` and a non-shortest encoding (a trailing zero group) are typed
+    /// errors.
+    pub fn take_varint(&mut self) -> Result<u64> {
+        let mut value = 0u64;
+        for (i, &byte) in self.rest().iter().take(10).enumerate() {
+            let group = u64::from(byte & 0x7F);
+            if i == 9 && byte > 1 {
+                return Err(self.fail(if byte & 0x80 == 0 {
+                    "varint overflows u64"
+                } else {
+                    "varint is longer than 10 bytes"
+                }));
+            }
+            value |= group << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(self.fail("varint is not in its shortest form"));
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        Err(self.fail(format_args!(
+            "varint truncated after {} bytes",
+            self.remaining()
+        )))
+    }
+
+    /// Reads a varint that must fit a `u32`.
+    pub fn take_varint_u32(&mut self) -> Result<u32> {
+        let v = self.take_varint()?;
+        u32::try_from(v).map_err(|_| self.fail(format_args!("varint {v} overflows u32")))
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Result<String> {
         let len = self.take_u32()? as usize;
@@ -346,9 +424,54 @@ impl<'a> ByteReader<'a> {
 }
 
 /// Caps a length-prefix-driven pre-allocation by what the input could
-/// possibly hold, so a corrupt count cannot trigger a huge allocation.
-fn capped(count: u32, remaining: usize, elem_size: usize) -> usize {
-    (count as usize).min(remaining / elem_size + 1)
+/// possibly hold (`elem_size` = the fewest bytes one element encodes to),
+/// so a corrupt count cannot trigger a huge allocation.
+fn capped(count: u64, remaining: usize, elem_size: usize) -> usize {
+    let cap = remaining / elem_size + 1;
+    usize::try_from(count).map_or(cap, |count| count.min(cap))
+}
+
+/// How a snapshot format version writes the integers of the `EVENTS` and
+/// `LEVEL` sections: fixed-width (version 1) or as LEB128 varints with
+/// ascending lists stored as gaps (version 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ints {
+    Fixed,
+    Varint,
+}
+
+impl Ints {
+    fn of(version: u32) -> Self {
+        if version == 1 {
+            Self::Fixed
+        } else {
+            Self::Varint
+        }
+    }
+
+    /// The fewest bytes one element encodes to, for [`capped`].
+    fn min_bytes(self, fixed: usize, varint: usize) -> usize {
+        match self {
+            Self::Fixed => fixed,
+            Self::Varint => varint,
+        }
+    }
+
+    /// Reads a field that version 1 wrote as a `u32`.
+    fn take_u32(self, r: &mut ByteReader<'_>) -> Result<u32> {
+        match self {
+            Self::Fixed => r.take_u32(),
+            Self::Varint => r.take_varint_u32(),
+        }
+    }
+
+    /// Reads a field that version 1 wrote as a `u64`.
+    fn take_u64(self, r: &mut ByteReader<'_>) -> Result<u64> {
+        match self {
+            Self::Fixed => r.take_u64(),
+            Self::Varint => r.take_varint(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -362,12 +485,13 @@ pub fn write_header(out: &mut Vec<u8>, kind: u32) {
     out.extend_from_slice(&kind.to_le_bytes());
 }
 
-/// Validates the snapshot header and returns the body after it.
+/// Validates the snapshot header and returns its format version
+/// (`OLDEST_SNAPSHOT_VERSION..=SNAPSHOT_VERSION`) and the body after it.
 ///
 /// # Errors
 /// [`Error::SnapshotCorrupt`] on a short or foreign header or a `kind`
 /// mismatch; [`Error::SnapshotVersion`] on an unknown format version.
-pub fn parse_header(bytes: &[u8], expected_kind: u32) -> Result<&[u8]> {
+pub fn parse_header(bytes: &[u8], expected_kind: u32) -> Result<(u32, &[u8])> {
     if bytes.len() < 16 {
         return Err(corrupt(format!(
             "header truncated: {} bytes, need 16",
@@ -380,7 +504,7 @@ pub fn parse_header(bytes: &[u8], expected_kind: u32) -> Result<&[u8]> {
         return Err(corrupt("magic bytes do not spell STPMSNAP"));
     }
     let version = r.take_u32()?;
-    if version != SNAPSHOT_VERSION {
+    if !(OLDEST_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
         return Err(Error::SnapshotVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
@@ -392,7 +516,7 @@ pub fn parse_header(bytes: &[u8], expected_kind: u32) -> Result<&[u8]> {
             "snapshot kind {kind} where kind {expected_kind} was expected"
         )));
     }
-    Ok(r.rest())
+    Ok((version, r.rest()))
 }
 
 /// Appends one framed section (`tag`, length, payload, CRC) to `out`.
@@ -558,7 +682,7 @@ fn decode_registry(payload: &[u8]) -> Result<EventRegistry> {
                 "alphabet of {alphabet_len} symbols exceeds the u16 symbol space"
             )));
         }
-        let mut alphabet = Vec::with_capacity(capped(alphabet_len, r.remaining(), 4));
+        let mut alphabet = Vec::with_capacity(capped(u64::from(alphabet_len), r.remaining(), 4));
         for _ in 0..alphabet_len {
             alphabet.push(r.take_str()?);
         }
@@ -572,23 +696,39 @@ fn decode_registry(payload: &[u8]) -> Result<EventRegistry> {
 }
 
 fn write_support(w: &mut ByteWriter, support: &SupportSet) {
-    w.put_u32(u32::try_from(support.len()).expect("support fits u32"));
+    w.put_varint(support.len() as u64);
+    let mut prev = 0;
     for &granule in support {
-        w.put_u64(granule);
+        w.put_varint(granule - prev);
+        prev = granule;
     }
 }
 
-fn read_support(r: &mut ByteReader<'_>, num_granules: u64) -> Result<SupportSet> {
-    let count = r.take_u32()?;
+fn read_support(r: &mut ByteReader<'_>, ints: Ints, num_granules: u64) -> Result<SupportSet> {
+    let count = ints.take_u32(r)?;
     if u64::from(count) > num_granules {
         return Err(r.fail(format_args!(
             "support of {count} granules exceeds the {num_granules} absorbed"
         )));
     }
-    let mut support = Vec::with_capacity(capped(count, r.remaining(), 8));
+    let mut support = Vec::with_capacity(capped(
+        u64::from(count),
+        r.remaining(),
+        ints.min_bytes(8, 1),
+    ));
     let mut prev = 0u64;
     for _ in 0..count {
-        let granule = r.take_u64()?;
+        let granule = match ints {
+            Ints::Fixed => r.take_u64()?,
+            Ints::Varint => {
+                let gap = r.take_varint()?;
+                prev.checked_add(gap).ok_or_else(|| {
+                    r.fail(format_args!(
+                        "support gap {gap} after granule {prev} overflows u64"
+                    ))
+                })?
+            }
+        };
         if granule <= prev || granule > num_granules {
             return Err(r.fail(format_args!(
                 "support granule {granule} after {prev} violates strict order in 1..={num_granules}"
@@ -601,18 +741,20 @@ fn read_support(r: &mut ByteReader<'_>, num_granules: u64) -> Result<SupportSet>
 }
 
 fn write_tracker(w: &mut ByteWriter, tracker: &SeasonTracker) {
-    w.put_u32(u32::try_from(tracker.spans.len()).expect("spans fit u32"));
+    w.put_varint(tracker.spans.len() as u64);
+    let mut prev_end = 0;
     for &(start, end) in &tracker.spans {
-        w.put_u32(start);
-        w.put_u32(end);
+        w.put_varint(u64::from(start - prev_end));
+        w.put_varint(u64::from(end - start));
+        prev_end = end;
     }
-    w.put_u64(tracker.best);
-    w.put_u64(tracker.current);
+    w.put_varint(tracker.best);
+    w.put_varint(tracker.current);
     match tracker.prev_end {
         None => w.put_u8(0),
         Some(granule) => {
             w.put_u8(1);
-            w.put_u64(granule);
+            w.put_varint(granule);
         }
     }
     match tracker.pending {
@@ -623,27 +765,48 @@ fn write_tracker(w: &mut ByteWriter, tracker: &SeasonTracker) {
                 None => w.put_u8(0),
                 Some(idx) => {
                     w.put_u8(1);
-                    w.put_u32(idx);
+                    w.put_varint(u64::from(idx));
                 }
             }
-            w.put_u64(run.first_kept);
-            w.put_u64(run.last);
+            w.put_varint(run.first_kept);
+            w.put_varint(run.last);
         }
     }
 }
 
-fn read_tracker(r: &mut ByteReader<'_>, support_len: u32) -> Result<SeasonTracker> {
-    let span_count = r.take_u32()?;
+/// Reads one season span `[start, end)`: two `u32` bounds in version 1, the
+/// gap from `prev_end` and the length in version 2.
+fn read_span(r: &mut ByteReader<'_>, ints: Ints, prev_end: u32) -> Result<(u32, u32)> {
+    if ints == Ints::Fixed {
+        return Ok((r.take_u32()?, r.take_u32()?));
+    }
+    let gap = r.take_varint_u32()?;
+    let len = r.take_varint_u32()?;
+    prev_end
+        .checked_add(gap)
+        .and_then(|start| Some((start, start.checked_add(len)?)))
+        .ok_or_else(|| {
+            r.fail(format_args!(
+                "season span of gap {gap} and length {len} after {prev_end} overflows u32"
+            ))
+        })
+}
+
+fn read_tracker(r: &mut ByteReader<'_>, ints: Ints, support_len: u32) -> Result<SeasonTracker> {
+    let span_count = ints.take_u32(r)?;
     if span_count > support_len {
         return Err(r.fail(format_args!(
             "{span_count} season spans over a support of {support_len}"
         )));
     }
-    let mut spans = Vec::with_capacity(capped(span_count, r.remaining(), 8));
+    let mut spans = Vec::with_capacity(capped(
+        u64::from(span_count),
+        r.remaining(),
+        ints.min_bytes(8, 2),
+    ));
     let mut prev_end = 0u32;
     for _ in 0..span_count {
-        let start = r.take_u32()?;
-        let end = r.take_u32()?;
+        let (start, end) = read_span(r, ints, prev_end)?;
         if start < prev_end || start >= end || end > support_len {
             return Err(r.fail(format_args!(
                 "season span [{start}, {end}) after {prev_end} is not an increasing \
@@ -653,11 +816,11 @@ fn read_tracker(r: &mut ByteReader<'_>, support_len: u32) -> Result<SeasonTracke
         spans.push((start, end));
         prev_end = end;
     }
-    let best = r.take_u64()?;
-    let current = r.take_u64()?;
+    let best = ints.take_u64(r)?;
+    let current = ints.take_u64(r)?;
     let prev_end = match r.take_u8()? {
         0 => None,
-        1 => Some(r.take_u64()?),
+        1 => Some(ints.take_u64(r)?),
         tag => return Err(r.fail(format_args!("unknown prev-end tag {tag}"))),
     };
     let pending = match r.take_u8()? {
@@ -666,7 +829,7 @@ fn read_tracker(r: &mut ByteReader<'_>, support_len: u32) -> Result<SeasonTracke
             let kept_from = match r.take_u8()? {
                 0 => None,
                 1 => {
-                    let idx = r.take_u32()?;
+                    let idx = ints.take_u32(r)?;
                     if idx >= support_len {
                         return Err(r.fail(format_args!(
                             "pending-run index {idx} out of bounds for a support of {support_len}"
@@ -678,8 +841,8 @@ fn read_tracker(r: &mut ByteReader<'_>, support_len: u32) -> Result<SeasonTracke
             };
             Some(PendingRun {
                 kept_from,
-                first_kept: r.take_u64()?,
-                last: r.take_u64()?,
+                first_kept: ints.take_u64(r)?,
+                last: ints.take_u64(r)?,
             })
         }
         tag => return Err(r.fail(format_args!("unknown pending-run tag {tag}"))),
@@ -703,9 +866,9 @@ fn encode_events(miner: &StreamingMiner) -> Vec<u8> {
         .collect();
     entries.sort_unstable_by_key(|&(packed, _)| packed);
     let mut w = ByteWriter::new();
-    w.put_u32(u32::try_from(entries.len()).expect("event count fits u32"));
+    w.put_varint(entries.len() as u64);
     for (packed, entry) in entries {
-        w.put_u64(packed);
+        w.put_varint(packed);
         write_support(&mut w, &entry.support);
         write_tracker(&mut w, &entry.tracker);
     }
@@ -739,16 +902,21 @@ fn read_label(r: &ByteReader<'_>, word: u64, registry: &EventRegistry) -> Result
 
 fn decode_events(
     payload: &[u8],
+    ints: Ints,
     registry: &EventRegistry,
     num_granules: u64,
 ) -> Result<FxHashMap<EventLabel, StreamEventEntry>> {
     let mut r = ByteReader::new(payload, "events section");
-    let count = r.take_u32()?;
+    let count = ints.take_u32(&mut r)?;
     let mut events = FxHashMap::default();
-    events.reserve(capped(count, r.remaining(), 16));
+    events.reserve(capped(
+        u64::from(count),
+        r.remaining(),
+        ints.min_bytes(16, 7),
+    ));
     let mut prev_packed: Option<u64> = None;
     for _ in 0..count {
-        let packed = r.take_u64()?;
+        let packed = ints.take_u64(&mut r)?;
         if prev_packed.is_some_and(|prev| packed <= prev) {
             return Err(r.fail(format_args!(
                 "event label {packed:#x} is not strictly increasing"
@@ -756,10 +924,10 @@ fn decode_events(
         }
         prev_packed = Some(packed);
         let label = read_label(&r, packed, registry)?;
-        let support = read_support(&mut r, num_granules)?;
+        let support = read_support(&mut r, ints, num_granules)?;
         let support_len =
             u32::try_from(support.len()).map_err(|_| r.fail("support length overflows u32"))?;
-        let tracker = read_tracker(&mut r, support_len)?;
+        let tracker = read_tracker(&mut r, ints, support_len)?;
         events.insert(label, StreamEventEntry { support, tracker });
     }
     r.finish()?;
@@ -768,13 +936,13 @@ fn decode_events(
 
 fn encode_level(level: &StreamLevel) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64(level.k as u64);
-    w.put_u32(u32::try_from(level.entries.len()).expect("patterns fit u32"));
+    w.put_varint(level.k as u64);
+    w.put_varint(level.entries.len() as u64);
     for entry in &level.entries {
         // The interning key fully encodes the pattern; its length is fixed
         // by k, so no per-entry length prefix is needed.
         for word in encode_pattern_key(&entry.pattern) {
-            w.put_u64(word);
+            w.put_varint(word);
         }
         write_support(&mut w, &entry.support);
         write_tracker(&mut w, &entry.tracker);
@@ -784,27 +952,30 @@ fn encode_level(level: &StreamLevel) -> Vec<u8> {
 
 fn decode_level(
     payload: &[u8],
+    ints: Ints,
     k: usize,
     registry: &EventRegistry,
     num_granules: u64,
 ) -> Result<StreamLevel> {
     let mut r = ByteReader::new(payload, "level section");
-    let stored_k = r.take_u64()?;
+    let stored_k = ints.take_u64(&mut r)?;
     if stored_k != k as u64 {
         return Err(r.fail(format_args!(
             "level k = {stored_k} where k = {k} was expected"
         )));
     }
-    let count = r.take_u32()?;
+    let count = ints.take_u32(&mut r)?;
     let key_len = k + k * (k - 1) / 2;
     let mut level = StreamLevel::new(k);
-    level
-        .entries
-        .reserve(capped(count, r.remaining(), key_len * 8));
+    level.entries.reserve(capped(
+        u64::from(count),
+        r.remaining(),
+        ints.min_bytes(key_len * 8, key_len + 6),
+    ));
     for _ in 0..count {
         let mut key = Vec::with_capacity(key_len);
         for _ in 0..key_len {
-            key.push(r.take_u64()?);
+            key.push(ints.take_u64(&mut r)?);
         }
         // `key` has exactly `key_len = k + k(k-1)/2` words, so this split
         // cannot fail; `split_at` keeps the decode path free of raw indexing.
@@ -832,10 +1003,10 @@ fn decode_level(
         if encode_pattern_key(&pattern) != key {
             return Err(r.fail("pattern key is not in canonical order"));
         }
-        let support = read_support(&mut r, num_granules)?;
+        let support = read_support(&mut r, ints, num_granules)?;
         let support_len =
             u32::try_from(support.len()).map_err(|_| r.fail("support length overflows u32"))?;
-        let tracker = read_tracker(&mut r, support_len)?;
+        let tracker = read_tracker(&mut r, ints, support_len)?;
         let idx = u32::try_from(level.entries.len())
             .map_err(|_| r.fail("pattern count overflows u32"))?;
         if !level.groups.contains(event_words) {
@@ -915,7 +1086,8 @@ fn effective_config(stored: &StpmConfig, requested: Option<&StpmConfig>) -> Resu
 }
 
 fn decode_miner(bytes: &[u8], requested: Option<&StpmConfig>) -> Result<StreamingMiner> {
-    let mut cursor = parse_header(bytes, KIND_MINER)?;
+    let (version, mut cursor) = parse_header(bytes, KIND_MINER)?;
+    let ints = Ints::of(version);
     let stored_config = decode_config(read_section(&mut cursor, SEC_CONFIG)?)?;
     let registry = decode_registry(read_section(&mut cursor, SEC_REGISTRY)?)?;
     let state = read_section(&mut cursor, SEC_STATE)?;
@@ -933,6 +1105,7 @@ fn decode_miner(bytes: &[u8], requested: Option<&StpmConfig>) -> Result<Streamin
     };
     let events = decode_events(
         read_section(&mut cursor, SEC_EVENTS)?,
+        ints,
         &registry,
         num_granules,
     )?;
@@ -940,6 +1113,7 @@ fn decode_miner(bytes: &[u8], requested: Option<&StpmConfig>) -> Result<Streamin
     for k in 2..=config.max_pattern_len {
         levels.push(decode_level(
             read_section(&mut cursor, SEC_LEVEL)?,
+            ints,
             k,
             &registry,
             num_granules,
@@ -1014,9 +1188,10 @@ pub struct CheckpointMeta {
 }
 
 impl StreamingMiner {
-    /// Serializes the full persistent state to `out` as one version-1
-    /// snapshot carrying the *next* checkpoint id, so the written state (and
-    /// a miner restored from it) continues the id sequence. The id bump and
+    /// Serializes the full persistent state to `out` as one
+    /// [`SNAPSHOT_VERSION`] snapshot carrying the *next* checkpoint id, so
+    /// the written state (and a miner restored from it) continues the id
+    /// sequence. The id bump and
     /// the pending-granule watermark are committed only once the writer
     /// accepted every byte: after a successful snapshot
     /// [`StreamingMiner::pending_granules`] is zero, while after a failed one
@@ -1055,7 +1230,8 @@ impl StreamingMiner {
     }
 
     /// Restores a miner from a snapshot produced by
-    /// [`StreamingMiner::snapshot`], under the configuration stored in it.
+    /// [`StreamingMiner::snapshot`] of any format version this build reads
+    /// (1 to [`SNAPSHOT_VERSION`]), under the configuration stored in it.
     /// Wall-clock timing counters restart at zero; everything else — and
     /// every byte of every later snapshot — is identical to the miner the
     /// snapshot was taken from.
@@ -1303,6 +1479,105 @@ mod tests {
         assert_eq!(r.take_f64().unwrap(), 0.005);
         assert_eq!(r.take_str().unwrap(), "hello κόσμε");
         r.finish().unwrap();
+
+        // Varints: the edge values plus both sides of every 7-bit group
+        // boundary round-trip in their shortest form.
+        let mut values = vec![0, 127, 128, 1 << 32, 1 << 63, u64::MAX];
+        for bits in (7..64).step_by(7) {
+            values.extend([(1u64 << bits) - 1, 1u64 << bits]);
+        }
+        for v in values {
+            let mut w = ByteWriter::new();
+            w.put_varint(v);
+            let width = (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+            assert_eq!(w.bytes().len(), width, "varint width of {v}");
+            let mut r = ByteReader::new(w.bytes(), "varint");
+            assert_eq!(r.take_varint().unwrap(), v);
+            r.finish().unwrap();
+        }
+    }
+
+    fn varints(values: &[u64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for &v in values {
+            w.put_varint(v);
+        }
+        w.into_bytes()
+    }
+
+    fn is_corrupt<T: std::fmt::Debug>(result: Result<T>) -> bool {
+        matches!(result, Err(Error::SnapshotCorrupt { .. }))
+    }
+
+    #[test]
+    fn malformed_varints_are_typed_errors() {
+        let take = |bytes: &[u8]| ByteReader::new(bytes, "varint").take_varint();
+        assert_eq!(
+            take(&[0xFF; 9].iter().chain(&[0x01]).copied().collect::<Vec<_>>()).unwrap(),
+            u64::MAX
+        );
+        // Truncated mid-varint, and empty.
+        assert!(is_corrupt(take(&[0x80, 0x80])));
+        assert!(is_corrupt(take(&[])));
+        // 11 bytes: the 10th still has its continuation bit set.
+        assert!(is_corrupt(take(&[0xFF; 11])));
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0x01);
+        assert!(is_corrupt(take(&eleven)));
+        // A 10th byte above 1 carries bits past 2^64.
+        let mut overflow = vec![0xFF; 9];
+        overflow.push(0x02);
+        assert!(is_corrupt(take(&overflow)));
+        // A trailing zero group is not the shortest form.
+        assert!(is_corrupt(take(&[0x80, 0x00])));
+        // The u32-checked variant rejects 2^32.
+        let bytes = varints(&[1 << 32]);
+        assert!(is_corrupt(
+            ByteReader::new(&bytes, "varint").take_varint_u32()
+        ));
+    }
+
+    #[test]
+    fn malformed_v2_supports_are_typed_errors() {
+        let support = |values: &[u64], num_granules: u64| {
+            let bytes = varints(values);
+            let mut r = ByteReader::new(&bytes, "support");
+            read_support(&mut r, Ints::Varint, num_granules)
+        };
+        assert_eq!(support(&[3, 1, 1, 4], 6).unwrap(), vec![1, 2, 6]);
+        // A zero gap breaks strict order, also as the first granule.
+        assert!(is_corrupt(support(&[2, 1, 0], 10)));
+        assert!(is_corrupt(support(&[1, 0], 10)));
+        // Gaps summing past the absorbed granules, and past u64::MAX.
+        assert!(is_corrupt(support(&[2, 5, 6], 10)));
+        assert!(is_corrupt(support(&[2, u64::MAX - 1, 5], u64::MAX)));
+        // More granules than were absorbed.
+        assert!(is_corrupt(support(&[3, 1, 1, 1], 2)));
+        // A count the payload cannot hold is a truncation, not an allocation,
+        // and a count past u32 is rejected outright.
+        assert!(is_corrupt(support(&[u64::from(u32::MAX)], u64::MAX)));
+        assert!(is_corrupt(support(&[1 << 32, 1], u64::MAX)));
+    }
+
+    #[test]
+    fn malformed_v2_season_spans_are_typed_errors() {
+        // spans · best · current · no prev_end · no pending run
+        let tracker = |spans: &[u64], support_len: u32| {
+            let mut bytes = varints(spans);
+            bytes.extend([0, 0, 0, 0]);
+            let mut r = ByteReader::new(&bytes, "tracker");
+            read_tracker(&mut r, Ints::Varint, support_len)
+        };
+        let ok = tracker(&[2, 0, 2, 1, 3], 6).unwrap();
+        assert_eq!(ok.spans, vec![(0, 2), (3, 6)]);
+        // start + length past u32.
+        assert!(is_corrupt(tracker(&[1, u64::from(u32::MAX), 2], 6)));
+        assert!(is_corrupt(tracker(&[1, u64::MAX, 1], 6)));
+        // A span ending past the support, and an empty span.
+        assert!(is_corrupt(tracker(&[1, 2, 5], 6)));
+        assert!(is_corrupt(tracker(&[1, 0, 0], 6)));
+        // More spans than support entries.
+        assert!(is_corrupt(tracker(&[7], 6)));
     }
 
     #[test]
@@ -1452,15 +1727,14 @@ mod tests {
             Err(Error::SnapshotCorrupt { .. })
         ));
 
-        let mut future_version = bytes.clone();
-        future_version[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            StreamingMiner::restore(&mut &future_version[..]),
-            Err(Error::SnapshotVersion {
-                found: 99,
-                supported: SNAPSHOT_VERSION
-            })
-        ));
+        for found in [0, SNAPSHOT_VERSION + 1, 99] {
+            let mut unknown_version = bytes.clone();
+            unknown_version[8..12].copy_from_slice(&found.to_le_bytes());
+            assert!(matches!(
+                StreamingMiner::restore(&mut &unknown_version[..]),
+                Err(Error::SnapshotVersion { found: f, supported: SNAPSHOT_VERSION }) if f == found
+            ));
+        }
 
         let mut wrong_kind = bytes;
         wrong_kind[12..16].copy_from_slice(&KIND_PIPELINE.to_le_bytes());

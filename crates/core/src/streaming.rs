@@ -393,7 +393,8 @@ fn mine_granule(seq: &TemporalSequence, config: &ResolvedConfig) -> GranuleHarve
 /// // Absorb the first two granules, then the rest; every checkpoint is
 /// // exact for the prefix absorbed so far.
 /// miner.append_batch(&dseq.sequences()[..2]).unwrap();
-/// let report = miner.append(&dseq.sequences()[2..]).unwrap();
+/// miner.append_batch(&dseq.sequences()[2..]).unwrap();
+/// let report = miner.checkpoint().unwrap();
 /// let batch = StpmMiner::mine_sequences(&dseq, &config).unwrap();
 /// assert_eq!(report.total_patterns(), batch.total_patterns());
 /// ```
@@ -480,21 +481,24 @@ impl StreamingMiner {
     /// table is retained across appends.
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        let event_bytes: usize = self
-            .events
+        self.event_footprint_bytes()
+            + self
+                .levels
+                .iter()
+                .map(StreamLevel::footprint_bytes)
+                .sum::<usize>()
+    }
+
+    /// The events' share of [`StreamingMiner::footprint_bytes`].
+    fn event_footprint_bytes(&self) -> usize {
+        self.events
             .values() // lint:allow(determinism): commutative sum, order-insensitive
             .map(|e| {
                 std::mem::size_of::<EventLabel>()
                     + e.support.len() * std::mem::size_of::<GranulePos>()
                     + e.tracker.footprint_bytes()
             })
-            .sum();
-        event_bytes
-            + self
-                .levels
-                .iter()
-                .map(StreamLevel::footprint_bytes)
-                .sum::<usize>()
+            .sum()
     }
 
     /// Re-resolves the configuration against the post-append granule count.
@@ -659,17 +663,6 @@ impl StreamingMiner {
         self.append_batch(&dseq.sequences()[absorbed..])
     }
 
-    /// Absorbs a batch and emits a checkpoint report — the one-call streaming
-    /// step.
-    ///
-    /// # Errors
-    /// As [`StreamingMiner::append_batch`] and
-    /// [`StreamingMiner::checkpoint`].
-    pub fn append(&mut self, batch: &[TemporalSequence]) -> Result<EngineReport> {
-        self.append_batch(batch)?;
-        self.checkpoint()
-    }
-
     /// Emits the frequent seasonal events and patterns of the absorbed
     /// prefix — exactly what a batch re-mine of the same prefix reports
     /// (patterns, supports, seasons and counts; the order within a level is
@@ -703,6 +696,7 @@ impl StreamingMiner {
 
         let mut patterns_out = Vec::new();
         let mut level_stats = Vec::new();
+        let mut footprint = self.event_footprint_bytes();
         for level in &self.levels {
             let mut frequent = 0usize;
             for entry in &level.entries {
@@ -715,18 +709,19 @@ impl StreamingMiner {
                     ));
                 }
             }
+            let level_footprint = level.footprint_bytes();
+            footprint += level_footprint;
             level_stats.push(LevelStats {
                 k: level.k,
                 candidate_groups: level.groups.len(),
                 candidate_patterns: level.entries.len(),
                 frequent_patterns: frequent,
-                footprint_bytes: level.footprint_bytes(),
+                footprint_bytes: level_footprint,
                 classifier_calls_saved: 0,
                 adjacency_pruned_candidates: 0,
             });
         }
 
-        let footprint = self.footprint_bytes();
         let emit_time = emit_start.elapsed();
         let stats = MiningStats {
             num_granules: self.num_granules,
@@ -949,7 +944,10 @@ mod tests {
         let config = paper_config();
         let mut miner = StreamingMiner::new(&config, dseq.registry()).unwrap();
         for prefix in 1..=dseq.sequences().len() {
-            let report = miner.append(&dseq.sequences()[prefix - 1..prefix]).unwrap();
+            miner
+                .append_batch(&dseq.sequences()[prefix - 1..prefix])
+                .unwrap();
+            let report = miner.checkpoint().unwrap();
             let batch = StpmMiner::mine_sequences(&dseq.truncated(prefix), &config).unwrap();
             assert_eq!(
                 canonical(report.events(), report.patterns()),
@@ -1036,7 +1034,8 @@ mod tests {
             ..paper_config()
         };
         let mut miner = StreamingMiner::new(&config, dseq.registry()).unwrap();
-        let report = miner.append(dseq.sequences()).unwrap();
+        miner.append_batch(dseq.sequences()).unwrap();
+        let report = miner.checkpoint().unwrap();
         assert!(report.patterns().is_empty());
         assert!(!report.events().is_empty());
         assert!(report.stats().levels.is_empty());
@@ -1046,7 +1045,8 @@ mod tests {
     fn report_metadata_is_populated() {
         let dseq = paper_dseq();
         let mut miner = StreamingMiner::new(&paper_config(), dseq.registry()).unwrap();
-        let report = miner.append(dseq.sequences()).unwrap();
+        miner.append_batch(dseq.sequences()).unwrap();
+        let report = miner.checkpoint().unwrap();
         assert_eq!(report.engine(), STREAMING_ENGINE_NAME);
         assert!(report.memory_bytes() > 0);
         assert_eq!(report.pruning().total_series, 5);
@@ -1059,5 +1059,30 @@ mod tests {
         let again = miner.checkpoint().unwrap();
         assert_eq!(again.events(), report.events());
         assert_eq!(again.patterns(), report.patterns());
+    }
+
+    #[test]
+    fn checkpoint_footprints_add_up_to_the_miner_footprint() {
+        let dseq = paper_dseq();
+        let mut miner = StreamingMiner::new(&paper_config(), dseq.registry()).unwrap();
+        for batch in dseq.sequences().chunks(4) {
+            miner.append_batch(batch).unwrap();
+            let report = miner.checkpoint().unwrap();
+            let footprint = miner.footprint_bytes();
+            assert_eq!(report.memory_bytes(), footprint);
+            assert_eq!(report.stats().peak_footprint_bytes, footprint);
+            // Each level reports exactly its own share, which the miner's
+            // total adds to the events' share.
+            for (stats, level) in report.stats().levels.iter().zip(&miner.levels) {
+                assert_eq!(stats.footprint_bytes, level.footprint_bytes());
+            }
+            let level_sum: usize = report
+                .stats()
+                .levels
+                .iter()
+                .map(|l| l.footprint_bytes)
+                .sum();
+            assert_eq!(miner.event_footprint_bytes() + level_sum, footprint);
+        }
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Static-analysis gate: the project lint pass (stpm-lint), its fixture
-# suite, the wire-format lock freshness check, the strict-invariants
-# test run, and the core unit tests in a plain release build.
+# suite, the wire-format lock freshness check, the golden-snapshot byte
+# check, the strict-invariants test run, and the core unit tests in a
+# plain release build.
 #
 # CI's analysis job executes this exact script, so a local
 # `scripts/ci_static_analysis.sh` reproduces the CI gate bit for bit.
@@ -22,6 +23,11 @@ if ! diff -u /tmp/snapshot_format.lock.committed snapshot_format.lock; then
   echo "snapshot_format.lock is stale — commit the regenerated lock" >&2
   exit 1
 fi
+
+echo "== snapshot payload bytes match the committed golden snapshot =="
+# The lock freezes the tags; this freezes the payload encoding itself, so
+# a changed field width without a SNAPSHOT_VERSION bump fails here.
+cargo test --release -q --test snapshot_format -- --exact the_encoder_reproduces_the_golden_snapshot
 
 echo "== strict-invariants test run (validators on in release) =="
 cargo test --release -q --features strict-invariants

@@ -1178,7 +1178,8 @@ fn decode_pipeline_state(
     config: &StpmConfig,
 ) -> Result<Option<StreamState>, PipelineError> {
     let per = PipelineError::Persistence;
-    let mut cursor = snapshot::parse_header(bytes, snapshot::KIND_PIPELINE).map_err(per)?;
+    let (version, mut cursor) =
+        snapshot::parse_header(bytes, snapshot::KIND_PIPELINE).map_err(per)?;
     let pipe = snapshot::read_section(&mut cursor, SEC_PIPE).map_err(per)?;
     let mut r = ByteReader::new(pipe, "pipeline section");
     let stored_m = r.take_u64().map_err(per)?;
@@ -1219,6 +1220,15 @@ fn decode_pipeline_state(
         return Err(corrupt(format!(
             "{} trailing bytes after the last section",
             cursor.len()
+        )));
+    }
+    // The embedded miner section is a whole miner snapshot with its own
+    // header; both are written in one go, so their versions must agree.
+    let (miner_version, _) =
+        snapshot::parse_header(miner_bytes, snapshot::KIND_MINER).map_err(per)?;
+    if miner_version != version {
+        return Err(corrupt(format!(
+            "a version-{version} pipeline snapshot embeds a version-{miner_version} miner"
         )));
     }
     let miner = StreamingMiner::restore_with(config, &mut &miner_bytes[..]).map_err(per)?;

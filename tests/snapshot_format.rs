@@ -1,0 +1,233 @@
+//! The snapshot wire format, pinned: the encoder must reproduce a committed
+//! golden snapshot byte for byte, and snapshots written in format version 1
+//! must still restore and recover exactly.
+//!
+//! Fixtures (`tests/fixtures/`), all of the paper's running example
+//! (Table II: five binary series, three instants per granule):
+//!
+//! * `miner_v2_paper_golden.snap` — a current-format miner snapshot after
+//!   the first 10 granules.
+//! * `miner_v1_paper.snap` — the same state, written by the version-1
+//!   encoder.
+//! * `pipeline_v1.snap` + `pipeline_v1.wal` — a version-1 pipeline snapshot
+//!   taken after instants `0..18`, and the write-ahead log of the two
+//!   appends that followed it (instants `18..24` and `24..31`).
+
+use freqstpfts::core::canonical_result_set as canonical;
+use freqstpfts::core::snapshot;
+use freqstpfts::prelude::*;
+use std::path::{Path, PathBuf};
+
+const ROWS: &[(&str, &str)] = &[
+    ("C", "110100110000000000111111000000100110000110"),
+    ("D", "100100110110000000111111000000100100110110"),
+    ("F", "001011001001111000000000111111001001001001"),
+    ("M", "111100111110111111000111111111111000111000"),
+    ("N", "110111111110111111000000111111111111111000"),
+];
+
+fn paper_config() -> StpmConfig {
+    StpmConfig {
+        max_period: Threshold::Absolute(2),
+        min_density: Threshold::Absolute(2),
+        dist_interval: (3, 10),
+        min_season: 2,
+        max_pattern_len: 3,
+        ..StpmConfig::default()
+    }
+}
+
+fn paper_dseq() -> SequenceDatabase {
+    let alphabet = Alphabet::from_strs(&["0", "1"]).unwrap();
+    let series: Vec<SymbolicSeries> = ROWS
+        .iter()
+        .map(|(name, bits)| {
+            let labels: Vec<&str> = bits
+                .chars()
+                .map(|c| if c == '1' { "1" } else { "0" })
+                .collect();
+            SymbolicSeries::from_labels(name, &labels, alphabet.clone()).unwrap()
+        })
+        .collect();
+    SymbolicDatabase::new(series)
+        .unwrap()
+        .to_sequence_database(3)
+        .unwrap()
+}
+
+/// Instants `from..to` of every series as raw readings.
+fn chunk(from: usize, to: usize) -> Vec<TimeSeries> {
+    ROWS.iter()
+        .map(|(name, bits)| {
+            let values = bits[from..to]
+                .chars()
+                .map(|c| if c == '1' { 1.2 } else { 0.0 })
+                .collect();
+            TimeSeries::new(*name, values)
+        })
+        .collect()
+}
+
+fn stream_pipeline() -> StreamingPipeline {
+    Pipeline::builder()
+        .symbolizer(ThresholdSymbolizer::binary(0.1, "0", "1"))
+        .mapping_factor(3)
+        .thresholds(paper_config())
+        .into_streaming()
+}
+
+/// A miner that absorbed the first `granules` granules in one batch.
+fn paper_miner(granules: usize) -> StreamingMiner {
+    let dseq = paper_dseq();
+    let mut miner = StreamingMiner::new(&paper_config(), dseq.registry()).unwrap();
+    miner.append_batch(&dseq.sequences()[..granules]).unwrap();
+    miner
+}
+
+fn snapshot_bytes(miner: &mut StreamingMiner) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    miner.snapshot(&mut bytes).unwrap();
+    bytes
+}
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join(name)
+}
+
+fn version_of(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+}
+
+fn assert_same_results(a: &EngineReport, b: &EngineReport) {
+    assert_eq!(
+        canonical(a.events(), a.patterns()),
+        canonical(b.events(), b.patterns())
+    );
+}
+
+#[test]
+fn the_encoder_reproduces_the_golden_snapshot() {
+    let bytes = snapshot_bytes(&mut paper_miner(10));
+    let golden = fixture("miner_v2_paper_golden.snap");
+    if std::fs::read(&golden).ok().as_deref() != Some(&bytes[..]) {
+        let actual = std::env::temp_dir().join("miner_v2_paper_golden.snap");
+        std::fs::write(&actual, &bytes).unwrap();
+        panic!(
+            "the snapshot encoder no longer reproduces {} byte for byte (the new bytes are in \
+             {}). Snapshots already on disk must keep decoding: if the wire format changed on \
+             purpose, bump SNAPSHOT_VERSION in crates/core/src/snapshot.rs, keep the previous \
+             version readable, regenerate snapshot_format.lock with \
+             `cargo run -p stpm-lint -- --write-format-lock`, and replace the golden file with \
+             the new bytes",
+            golden.display(),
+            actual.display()
+        );
+    }
+    assert_eq!(version_of(&bytes), snapshot::SNAPSHOT_VERSION);
+}
+
+#[test]
+fn a_version_1_miner_snapshot_restores_exactly() {
+    let v1 = std::fs::read(fixture("miner_v1_paper.snap")).unwrap();
+    assert_eq!(version_of(&v1), 1);
+    let mut restored = StreamingMiner::restore(&mut &v1[..]).unwrap();
+
+    // The in-memory miner the fixture was taken of: same granules, and one
+    // snapshot taken, so the checkpoint ids line up.
+    let mut live = paper_miner(10);
+    let _ = snapshot_bytes(&mut live);
+    assert_eq!(restored.checkpoint_meta(), live.checkpoint_meta());
+    assert_same_results(&restored.checkpoint().unwrap(), &live.checkpoint().unwrap());
+
+    // The next snapshot is written in the current format and equals a fresh
+    // one of the same state.
+    let next = snapshot_bytes(&mut restored);
+    assert_eq!(version_of(&next), snapshot::SNAPSHOT_VERSION);
+    assert_eq!(next, snapshot_bytes(&mut live));
+    assert!(next.len() < v1.len());
+
+    // Later appends agree too.
+    let dseq = paper_dseq();
+    restored.append_batch(&dseq.sequences()[10..]).unwrap();
+    live.append_batch(&dseq.sequences()[10..]).unwrap();
+    assert_same_results(&restored.checkpoint().unwrap(), &live.checkpoint().unwrap());
+    assert_eq!(snapshot_bytes(&mut restored), snapshot_bytes(&mut live));
+}
+
+#[test]
+#[cfg_attr(miri, ignore)] // real snapshot/WAL files
+fn a_version_1_pipeline_snapshot_and_wal_recover_exactly() {
+    // Recovery re-attaches the WAL for appending, so work on copies.
+    let dir = std::env::temp_dir().join(format!("stpm_snapshot_format_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("pipeline.snap");
+    let wal = dir.join("pipeline.wal");
+    std::fs::copy(fixture("pipeline_v1.snap"), &snap).unwrap();
+    std::fs::copy(fixture("pipeline_v1.wal"), &wal).unwrap();
+    assert_eq!(version_of(&std::fs::read(&snap).unwrap()), 1);
+
+    let mut recovered = stream_pipeline();
+    let report = recovered.recover(Some(&snap), &wal).unwrap();
+    assert_eq!(report.restored_granules, 6);
+    assert_eq!(report.replayed_records, 2);
+    assert!(report.wal_was_clean);
+
+    // The live pipeline the fixtures were written by.
+    let mut live = stream_pipeline();
+    live.append(&chunk(0, 18)).unwrap();
+    live.snapshot_to_writer(&mut Vec::new()).unwrap();
+    live.append(&chunk(18, 24)).unwrap();
+    live.append(&chunk(24, 31)).unwrap();
+    assert_eq!(recovered.num_granules(), live.num_granules());
+    assert_eq!(recovered.pending_instants(), live.pending_instants());
+    assert_eq!(recovered.checkpoint_meta(), live.checkpoint_meta());
+    assert_same_results(
+        &recovered.checkpoint().unwrap(),
+        &live.checkpoint().unwrap(),
+    );
+
+    // The next snapshot_to writes the current format, identical to a fresh
+    // snapshot of the live state.
+    recovered.snapshot_to(&snap).unwrap();
+    let next = std::fs::read(&snap).unwrap();
+    let mut fresh = Vec::new();
+    live.snapshot_to_writer(&mut fresh).unwrap();
+    assert_eq!(version_of(&next), snapshot::SNAPSHOT_VERSION);
+    assert_eq!(next, fresh);
+
+    recovered.append(&chunk(31, 42)).unwrap();
+    live.append(&chunk(31, 42)).unwrap();
+    assert_same_results(
+        &recovered.checkpoint().unwrap(),
+        &live.checkpoint().unwrap(),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_pipeline_header_must_match_its_embedded_miner_version() {
+    let mut bytes = std::fs::read(fixture("pipeline_v1.snap")).unwrap();
+    bytes[8..12].copy_from_slice(&snapshot::SNAPSHOT_VERSION.to_le_bytes());
+    assert!(matches!(
+        stream_pipeline().restore_from(&mut &bytes[..]),
+        Err(PipelineError::Persistence(
+            freqstpfts::core::Error::SnapshotCorrupt { .. }
+        ))
+    ));
+}
+
+#[test]
+fn versions_past_the_current_one_are_version_errors() {
+    let mut bytes = std::fs::read(fixture("miner_v1_paper.snap")).unwrap();
+    for found in [snapshot::SNAPSHOT_VERSION + 1, u32::MAX] {
+        bytes[8..12].copy_from_slice(&found.to_le_bytes());
+        assert!(matches!(
+            StreamingMiner::restore(&mut &bytes[..]),
+            Err(freqstpfts::core::Error::SnapshotVersion { found: f, .. }) if f == found
+        ));
+    }
+}
