@@ -63,8 +63,6 @@ pub mod failpoints {
     pub const SNAPSHOT_DIR_SYNC: Failpoint = "snapshot_to.dir_sync";
     /// Removing the tmp sibling on the snapshot error path.
     pub const SNAPSHOT_REMOVE_TMP: Failpoint = "snapshot_to.remove_tmp";
-    /// Writing a snapshot through a caller-supplied writer.
-    pub const WRITER_WRITE: Failpoint = "snapshot_to_writer.write";
     /// Opening (or creating) the WAL file in `attach_wal`.
     pub const WAL_OPEN: Failpoint = "attach_wal.open";
     /// Reading existing WAL contents in `attach_wal`.
@@ -99,7 +97,6 @@ pub mod failpoints {
         SNAPSHOT_RENAME,
         SNAPSHOT_DIR_SYNC,
         SNAPSHOT_REMOVE_TMP,
-        WRITER_WRITE,
         WAL_OPEN,
         WAL_READ,
         WAL_WRITE_HEADER,
@@ -195,18 +192,6 @@ pub trait StorageBackend: fmt::Debug {
     /// # Errors
     /// Propagates the underlying (or injected) I/O error.
     fn sync_dir(&self, failpoint: Failpoint, path: &Path) -> io::Result<()>;
-
-    /// A pure failpoint probe with no filesystem effect.
-    ///
-    /// Used where the pipeline writes through caller-supplied writers (no
-    /// backend file is involved) but fault plans still need a hook.
-    ///
-    /// # Errors
-    /// Returns the injected fault, if one is scheduled.
-    fn failpoint(&self, failpoint: Failpoint) -> io::Result<()> {
-        let _ = failpoint;
-        Ok(())
-    }
 }
 
 /// The production [`StorageBackend`]: forwards every call to `std::fs` and
@@ -305,10 +290,6 @@ impl StorageBackend for Arc<dyn StorageBackend + Send + Sync> {
 
     fn sync_dir(&self, failpoint: Failpoint, path: &Path) -> io::Result<()> {
         (**self).sync_dir(failpoint, path)
-    }
-
-    fn failpoint(&self, failpoint: Failpoint) -> io::Result<()> {
-        (**self).failpoint(failpoint)
     }
 }
 
@@ -660,10 +641,10 @@ impl StorageBackend for FaultyFs {
                 let committed: Vec<(PathBuf, usize)> = state
                     .live_dir
                     .iter()
-                    .filter(|(p, _)| p.parent() == Some(path))
+                    .filter(|(p, _)| in_dir(p, path))
                     .map(|(p, inode)| (p.clone(), *inode))
                     .collect();
-                state.durable_dir.retain(|p, _| p.parent() != Some(path));
+                state.durable_dir.retain(|p, _| !in_dir(p, path));
                 state.durable_dir.extend(committed);
                 Ok(())
             }
@@ -671,13 +652,14 @@ impl StorageBackend for FaultyFs {
             Some(kind) => Err(FaultyState::injected(failpoint, kind)),
         }
     }
+}
 
-    fn failpoint(&self, failpoint: Failpoint) -> io::Result<()> {
-        let mut state = self.lock();
-        match state.begin_op(failpoint) {
-            None | Some(FaultKind::SyncLie) => Ok(()),
-            Some(kind) => Err(FaultyState::injected(failpoint, kind)),
-        }
+/// Whether `path` is an entry directly under `dir`. A bare file name (whose
+/// parent is empty) lives in `"."`, as it does on a real filesystem.
+fn in_dir(path: &Path, dir: &Path) -> bool {
+    match path.parent() {
+        Some(parent) if parent.as_os_str().is_empty() => dir == Path::new("."),
+        parent => parent == Some(dir),
     }
 }
 
@@ -1058,7 +1040,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before);
-        assert!(before >= 18);
+        assert!(before >= 17);
     }
 
     #[test]

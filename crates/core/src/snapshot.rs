@@ -58,17 +58,33 @@
 //! are observability-only and reset to zero on restore — this is what makes
 //! `snapshot → restore → append` *byte-identical* to an uninterrupted run.
 //!
+//! # Pipeline snapshots
+//!
+//! A streaming-pipeline snapshot (`kind = 2`, [`encode_pipeline`]) shares
+//! the header, the framing and the version of a miner snapshot:
+//!
+//! ```text
+//! pipeline := header · PIPE · (DSYB · MINER)?     DSYB and MINER iff has_state
+//! PIPE     := mapping_factor u64 · has_state u8
+//! DSYB     := series-list
+//! MINER    := a whole miner snapshot (kind 1, the same version)
+//! series-list := count u32 · (name · labels · symbols)*
+//! labels   := count u32 (at most 65 536) · str*       str := len u32 · UTF-8
+//! symbols  := count u64 · u16*                        ids below the label count
+//! ```
+//!
 //! # WAL format (version 1)
 //!
 //! ```text
 //! wal      := magic "STPMWAL1" (8 bytes) · version u32 · record*
 //! record   := len u64 · crc32(payload) u32 · payload (len bytes)
+//! payload  := start_instants u64 · series-list        (encode_symbolic_batch)
 //! ```
 //!
-//! Record payloads are opaque to this module (the facade stores symbolized
-//! granule batches). [`wal_read`] recovers the longest durable prefix: it
-//! stops at the first truncated or corrupt record and reports how many bytes
-//! were durable, so a crash mid-write costs at most the interrupted record.
+//! [`wal_read`] recovers the longest durable prefix: it stops at the first
+//! truncated or corrupt record and reports how many bytes were durable, so a
+//! crash mid-write costs at most the interrupted record. The service
+//! protocol's append frames carry their batch as the same `series-list`.
 //!
 //! # Recovery contract
 //!
@@ -86,16 +102,14 @@
 //!
 //! # Format freeze & decode hygiene
 //!
-//! Two contracts of this module are machine-checked by the project lint
-//! pass (`cargo run -p stpm-lint`):
-//!
-//! * **`wire-format-freeze`** — the magic, version and section/kind tag
-//!   constants below are frozen against the committed
-//!   `snapshot_format.lock` at the workspace root. Changing a tag's value
-//!   (or adding/removing one) without bumping [`SNAPSHOT_VERSION`] /
-//!   [`WAL_VERSION`] is a lint error; after a deliberate bump the lock is
-//!   regenerated with `cargo run -p stpm-lint -- --write-format-lock`.
-//! * **`no-panic-decode`** — every decode-path function in this module
+//! * **Golden files** freeze the formats: the workspace tests must
+//!   reproduce a committed miner snapshot, pipeline snapshot and WAL byte
+//!   for byte (`tests/snapshot_format.rs`), so any change of a magic, a
+//!   version, a tag or a field encoding fails them. A deliberate change
+//!   bumps [`SNAPSHOT_VERSION`] or [`WAL_VERSION`], keeps the previous
+//!   version readable, and replaces the golden file.
+//! * **`no-panic-decode`**, a rule of the project lint pass
+//!   (`cargo run -p stpm-lint`) — every decode-path function in this module
 //!   (`take_*`, `parse_*`, `read_*`, `decode_*`, [`wal_read`], the restore
 //!   entry points) must stay free of `unwrap`/`expect`/panicking macros and
 //!   raw slice indexing, so arbitrary input bytes can only ever produce a
@@ -111,7 +125,9 @@ use crate::streaming::{StreamEventEntry, StreamLevel, StreamPatternEntry, Stream
 use crate::support::SupportSet;
 use std::io::{Read, Write};
 use std::time::Duration;
-use stpm_timeseries::{EventLabel, EventRegistry, SeriesId, SymbolId};
+use stpm_timeseries::{
+    Alphabet, EventLabel, EventRegistry, SeriesId, SymbolId, SymbolicDatabase, SymbolicSeries,
+};
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STPMSNAP";
@@ -121,10 +137,10 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 /// written).
 const OLDEST_SNAPSHOT_VERSION: u32 = 1;
 /// Header `kind` of a [`StreamingMiner`] snapshot.
-pub const KIND_MINER: u32 = 1;
-/// Header `kind` of a facade pipeline snapshot (which embeds a miner
-/// snapshot; the facade owns its section layout).
-pub const KIND_PIPELINE: u32 = 2;
+const KIND_MINER: u32 = 1;
+/// Header `kind` of a streaming-pipeline snapshot, which embeds a miner
+/// snapshot.
+const KIND_PIPELINE: u32 = 2;
 /// Magic bytes opening every write-ahead log.
 pub const WAL_MAGIC: [u8; 8] = *b"STPMWAL1";
 /// Newest WAL format version this build reads and writes.
@@ -135,6 +151,9 @@ const SEC_REGISTRY: u32 = 2;
 const SEC_STATE: u32 = 3;
 const SEC_EVENTS: u32 = 4;
 const SEC_LEVEL: u32 = 5;
+const SEC_PIPE: u32 = 0x10;
+const SEC_DSYB: u32 = 0x11;
+const SEC_MINER: u32 = 0x12;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE)
@@ -214,8 +233,8 @@ fn corrupt(reason: impl Into<String>) -> Error {
 // ---------------------------------------------------------------------------
 
 /// Append-only little-endian byte buffer — the encoding half of the wire
-/// format. Public so the facade encodes its own sections and WAL payloads
-/// with the same primitives.
+/// format. Public so the service protocol encodes its frames with the same
+/// primitives.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -479,7 +498,7 @@ impl Ints {
 // ---------------------------------------------------------------------------
 
 /// Writes the 16-byte snapshot header (magic, version, kind) to `out`.
-pub fn write_header(out: &mut Vec<u8>, kind: u32) {
+fn write_header(out: &mut Vec<u8>, kind: u32) {
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&kind.to_le_bytes());
@@ -491,7 +510,7 @@ pub fn write_header(out: &mut Vec<u8>, kind: u32) {
 /// # Errors
 /// [`Error::SnapshotCorrupt`] on a short or foreign header or a `kind`
 /// mismatch; [`Error::SnapshotVersion`] on an unknown format version.
-pub fn parse_header(bytes: &[u8], expected_kind: u32) -> Result<(u32, &[u8])> {
+fn parse_header(bytes: &[u8], expected_kind: u32) -> Result<(u32, &[u8])> {
     if bytes.len() < 16 {
         return Err(corrupt(format!(
             "header truncated: {} bytes, need 16",
@@ -520,7 +539,7 @@ pub fn parse_header(bytes: &[u8], expected_kind: u32) -> Result<(u32, &[u8])> {
 }
 
 /// Appends one framed section (`tag`, length, payload, CRC) to `out`.
-pub fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
     out.extend_from_slice(&tag.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
@@ -533,7 +552,7 @@ pub fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
 /// # Errors
 /// [`Error::SnapshotCorrupt`] on truncation, a tag mismatch, an impossible
 /// length or a CRC failure.
-pub fn read_section<'a>(cursor: &mut &'a [u8], expected_tag: u32) -> Result<&'a [u8]> {
+fn read_section<'a>(cursor: &mut &'a [u8], expected_tag: u32) -> Result<&'a [u8]> {
     let buf = *cursor;
     if buf.len() < 12 {
         return Err(corrupt(format!(
@@ -1278,6 +1297,197 @@ impl StreamingMiner {
             io_retries: 0,
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Symbolic databases and pipeline snapshots
+// ---------------------------------------------------------------------------
+
+/// Writes `db` as a series list: the series count, then per series its
+/// name, its alphabet and its symbols. The `DSYB` section of a pipeline
+/// snapshot, every WAL batch record and every service append frame carry
+/// their symbolic data in this one encoding.
+///
+/// # Panics
+/// When `db` holds more than `u32::MAX` series, or a series has more than
+/// `u32::MAX` labels.
+pub fn write_symbolic_database(w: &mut ByteWriter, db: &SymbolicDatabase) {
+    w.put_u32(u32::try_from(db.num_series()).expect("series count fits u32"));
+    for series in db.series() {
+        w.put_str(series.name());
+        let labels = series.alphabet().labels();
+        w.put_u32(u32::try_from(labels.len()).expect("alphabet fits u32"));
+        for label in labels {
+            w.put_str(label);
+        }
+        w.put_u64(series.symbols().len() as u64);
+        for &symbol in series.symbols() {
+            w.put_u16(symbol.0);
+        }
+    }
+}
+
+/// Reads a series list written by [`write_symbolic_database`].
+///
+/// # Errors
+/// [`Error::SnapshotCorrupt`] on truncation, on an alphabet larger than the
+/// `u16` symbol space, on a symbol outside its alphabet, and on series that
+/// do not form a database (different lengths, say).
+pub fn read_symbolic_database(r: &mut ByteReader<'_>) -> Result<SymbolicDatabase> {
+    let num_series = r.take_u32()?;
+    let mut series = Vec::new();
+    for _ in 0..num_series {
+        let name = r.take_str()?;
+        let label_count = r.take_u32()?;
+        if label_count > 1 << 16 {
+            return Err(corrupt(format!(
+                "alphabet of {label_count} symbols exceeds the u16 symbol space"
+            )));
+        }
+        let mut labels = Vec::new();
+        for _ in 0..label_count {
+            labels.push(r.take_str()?);
+        }
+        let alphabet = Alphabet::new(labels)
+            .map_err(|e| corrupt(format!("series `{name}` carries an invalid alphabet: {e}")))?;
+        let symbol_count = r.take_u64()?;
+        let mut symbols = Vec::with_capacity(capped(symbol_count, r.remaining(), 2));
+        for _ in 0..symbol_count {
+            let symbol = r.take_u16()?;
+            if u32::from(symbol) >= label_count {
+                return Err(corrupt(format!(
+                    "series `{name}` references symbol {symbol} outside its {label_count}-symbol \
+                     alphabet"
+                )));
+            }
+            symbols.push(SymbolId(symbol));
+        }
+        series.push(SymbolicSeries::new(name, symbols, alphabet));
+    }
+    SymbolicDatabase::new(series)
+        .map_err(|e| corrupt(format!("{} failed validation: {e}", r.context)))
+}
+
+/// Encodes one appended batch as a WAL record payload: the instant count
+/// the stream held before the batch, then the batch as a series list.
+#[must_use]
+pub fn encode_symbolic_batch(start_instants: u64, batch: &SymbolicDatabase) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u64(start_instants);
+    write_symbolic_database(&mut w, batch);
+    w.into_bytes()
+}
+
+/// Decodes a WAL record payload written by [`encode_symbolic_batch`].
+///
+/// # Errors
+/// [`Error::SnapshotCorrupt`] on truncated, trailing or invalid bytes.
+pub fn decode_symbolic_batch(payload: &[u8]) -> Result<(u64, SymbolicDatabase)> {
+    let mut r = ByteReader::new(payload, "WAL batch record");
+    let start_instants = r.take_u64()?;
+    let batch = read_symbolic_database(&mut r)?;
+    r.finish()?;
+    Ok((start_instants, batch))
+}
+
+/// Encodes a streaming-pipeline snapshot: the mapping factor, then, once
+/// the stream holds state, its symbolic database and the miner's snapshot
+/// (under the miner's next checkpoint id, as
+/// [`StreamingMiner::encode_snapshot`]).
+#[must_use]
+pub fn encode_pipeline(
+    mapping_factor: u64,
+    state: Option<(&SymbolicDatabase, &StreamingMiner)>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_header(&mut out, KIND_PIPELINE);
+    let mut pipe = ByteWriter::new();
+    pipe.put_u64(mapping_factor);
+    pipe.put_u8(u8::from(state.is_some()));
+    write_section(&mut out, SEC_PIPE, pipe.bytes());
+    if let Some((dsyb, miner)) = state {
+        let mut w = ByteWriter::new();
+        write_symbolic_database(&mut w, dsyb);
+        write_section(&mut out, SEC_DSYB, w.bytes());
+        write_section(&mut out, SEC_MINER, &encode_miner(miner));
+    }
+    out
+}
+
+/// Decodes a pipeline snapshot written by [`encode_pipeline`] in any
+/// version this build reads, checking the restoring pipeline's mapping
+/// factor and configuration against it (see [`StreamingMiner::restore_with`]).
+/// Returns the symbolic database and the miner, or `None` for a snapshot of
+/// a stream that held no state yet.
+///
+/// # Errors
+/// [`Error::SnapshotCorrupt`], [`Error::SnapshotVersion`], or
+/// [`Error::SnapshotConfigMismatch`] for a different mapping factor or a
+/// configuration that shaped the absorbed state differently.
+pub fn decode_pipeline(
+    bytes: &[u8],
+    mapping_factor: u64,
+    config: &StpmConfig,
+) -> Result<Option<(SymbolicDatabase, StreamingMiner)>> {
+    let (version, mut cursor) = parse_header(bytes, KIND_PIPELINE)?;
+    let mut r = ByteReader::new(read_section(&mut cursor, SEC_PIPE)?, "pipeline section");
+    let stored_m = r.take_u64()?;
+    if stored_m != mapping_factor {
+        return Err(Error::SnapshotConfigMismatch {
+            parameter: "mappingFactor",
+            reason: format!(
+                "snapshot maps {stored_m} instants per granule, this pipeline maps \
+                 {mapping_factor} — granule boundaries cannot be replayed"
+            ),
+        });
+    }
+    let has_state = match r.take_u8()? {
+        0 => false,
+        1 => true,
+        tag => {
+            return Err(corrupt(format!(
+                "pipeline section: unknown has-state tag {tag}"
+            )))
+        }
+    };
+    r.finish()?;
+    if !has_state {
+        if !cursor.is_empty() {
+            return Err(corrupt(format!(
+                "{} trailing bytes after an empty pipeline snapshot",
+                cursor.len()
+            )));
+        }
+        return Ok(None);
+    }
+    let mut r = ByteReader::new(
+        read_section(&mut cursor, SEC_DSYB)?,
+        "symbolic-database section",
+    );
+    let dsyb = read_symbolic_database(&mut r)?;
+    r.finish()?;
+    let miner_bytes = read_section(&mut cursor, SEC_MINER)?;
+    if !cursor.is_empty() {
+        return Err(corrupt(format!(
+            "{} trailing bytes after the last section",
+            cursor.len()
+        )));
+    }
+    // The embedded miner section is a whole miner snapshot with its own
+    // header; both are written in one go, so their versions must agree.
+    let (miner_version, _) = parse_header(miner_bytes, KIND_MINER)?;
+    if miner_version != version {
+        return Err(corrupt(format!(
+            "a version-{version} pipeline snapshot embeds a version-{miner_version} miner"
+        )));
+    }
+    let miner = decode_miner(miner_bytes, Some(config))?;
+    if miner.registry != *dsyb.registry() {
+        return Err(corrupt(
+            "the miner's event registry diverges from the symbolic database's",
+        ));
+    }
+    Ok(Some((dsyb, miner)))
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@
 //! | `hot-path-alloc` | no allocating constructs in `// lint: hot-path` functions |
 //! | `no-panic-decode` | no panics / raw indexing in snapshot/WAL decode functions |
 //! | `determinism` | no hash-order iteration in output modules, no wall clock in wire code |
-//! | `wire-format-freeze` | snapshot constants match `snapshot_format.lock` |
 //! | `durable-io` | fsync before rename/truncate/acknowledgment in `// lint: durable` functions |
 //!
 //! The workspace is dependency-free, so the analysis is built on a small
@@ -33,14 +32,9 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{
-    check_format_lock, extract_wire_constants, lint_source, parse_lock, render_lock, Diagnostic,
-};
+pub use rules::{lint_source, Diagnostic};
 
 use std::path::{Path, PathBuf};
-
-/// Name of the committed wire-format lock file at the workspace root.
-pub const FORMAT_LOCK_FILE: &str = "snapshot_format.lock";
 
 /// Finds the workspace root by walking up from `start` until a directory
 /// containing a `Cargo.toml` with a `[workspace]` table is found.
@@ -96,10 +90,9 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lints the whole workspace rooted at `root`: every collected source file
-/// plus the wire-format freeze check of `crates/core/src/snapshot.rs`
-/// against the committed lock. I/O failures are reported as diagnostics so
-/// a broken checkout cannot silently pass.
+/// Lints the whole workspace rooted at `root`: every collected source
+/// file. I/O failures are reported as diagnostics so a broken checkout
+/// cannot silently pass.
 #[must_use]
 pub fn lint_workspace(root: &Path) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
@@ -119,40 +112,6 @@ pub fn lint_workspace(root: &Path) -> Vec<Diagnostic> {
                 message: format!("could not read source file: {e}"),
             }),
         }
-    }
-
-    let snapshot_path = root.join("crates/core/src/snapshot.rs");
-    let lock_path = root.join(FORMAT_LOCK_FILE);
-    match (
-        std::fs::read_to_string(&snapshot_path),
-        std::fs::read_to_string(&lock_path),
-    ) {
-        (Ok(snapshot_src), Ok(lock_text)) => {
-            let current = extract_wire_constants(&snapshot_src);
-            let locked = parse_lock(&lock_text);
-            diags.extend(check_format_lock(
-                "crates/core/src/snapshot.rs",
-                &current,
-                &locked,
-            ));
-        }
-        (Err(e), _) => diags.push(Diagnostic {
-            file: "crates/core/src/snapshot.rs".into(),
-            line: 1,
-            col: 1,
-            rule: "wire-format-freeze",
-            message: format!("could not read snapshot module: {e}"),
-        }),
-        (_, Err(e)) => diags.push(Diagnostic {
-            file: FORMAT_LOCK_FILE.into(),
-            line: 1,
-            col: 1,
-            rule: "wire-format-freeze",
-            message: format!(
-                "could not read the committed lock ({e}) — generate it with \
-                 `cargo run -p stpm-lint -- --write-format-lock`"
-            ),
-        }),
     }
     diags
 }

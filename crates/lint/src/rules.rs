@@ -1,6 +1,6 @@
 //! The rule engine: project-invariant checks over the token stream.
 //!
-//! Five named rules are enforced (see the README "Correctness tooling"
+//! Four named rules are enforced (see the README "Correctness tooling"
 //! section for the policy):
 //!
 //! * `hot-path-alloc` — no allocating constructs inside functions marked
@@ -9,9 +9,6 @@
 //!   decode functions of `snapshot.rs`-shaped files.
 //! * `determinism` — no direct iteration over hash maps/sets in
 //!   output-producing modules, and no wall-clock reads in wire-format code.
-//! * `wire-format-freeze` — the snapshot wire-format constants must match
-//!   the committed `snapshot_format.lock`; tag changes require a version
-//!   bump, version bumps require a lock refresh.
 //! * `durable-io` — inside functions marked `// lint: durable`, every
 //!   write must reach an `sync_all`/`sync_data` before the file is renamed
 //!   into place or truncated, and before a `checkpoint` acknowledges the
@@ -30,7 +27,6 @@
 //! mechanism documents the sites that are deliberate.
 
 use crate::lexer::{lex, Comment, LexOutput, Token, TokenKind};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Base names of the modules whose hot paths carry `// lint: hot-path`
@@ -912,196 +908,4 @@ impl<'a> Engine<'a> {
         kept.sort_by_key(|a| (a.line, a.col));
         kept
     }
-}
-
-// ---- wire-format-freeze ----------------------------------------------
-
-/// The wire-format constants extracted from a `snapshot.rs` source, keyed
-/// by constant name with the raw initializer text as the value.
-pub type WireConstants = BTreeMap<String, String>;
-
-/// Constant names that participate in the freeze. `*_VERSION` entries are
-/// the bump keys; everything else is a frozen tag.
-const FROZEN_PREFIXES: &[&str] = &["SEC_", "KIND_"];
-const FROZEN_EXACT: &[&str] = &[
-    "SNAPSHOT_MAGIC",
-    "SNAPSHOT_VERSION",
-    "WAL_MAGIC",
-    "WAL_VERSION",
-];
-
-fn is_frozen_const(name: &str) -> bool {
-    FROZEN_EXACT.contains(&name) || FROZEN_PREFIXES.iter().any(|p| name.starts_with(p))
-}
-
-/// Extracts the frozen wire-format constants (`SNAPSHOT_*`, `WAL_*`,
-/// `SEC_*`, `KIND_*`) from snapshot source text.
-#[must_use]
-pub fn extract_wire_constants(source: &str) -> WireConstants {
-    let lexed = lex(source);
-    let t = &lexed.tokens;
-    let mut out = WireConstants::new();
-    let mut i = 0;
-    while i < t.len() {
-        if t[i].is_ident("const") && i + 1 < t.len() && t[i + 1].kind == TokenKind::Ident {
-            let name = &t[i + 1].text;
-            if is_frozen_const(name) {
-                // Find the `=` at bracket depth 0 (the type may contain a
-                // `;`, e.g. `[u8; 8]`), then capture raw tokens up to the
-                // terminating `;`, also at depth 0.
-                let mut j = i + 2;
-                let mut depth = 0usize;
-                while j < t.len() {
-                    if t[j].is_punct('[') || t[j].is_punct('(') {
-                        depth += 1;
-                    } else if t[j].is_punct(']') || t[j].is_punct(')') {
-                        depth = depth.saturating_sub(1);
-                    } else if depth == 0 && (t[j].is_punct('=') || t[j].is_punct(';')) {
-                        break;
-                    }
-                    j += 1;
-                }
-                if j < t.len() && t[j].is_punct('=') {
-                    let mut value = String::new();
-                    j += 1;
-                    while j < t.len() && !t[j].is_punct(';') {
-                        if !value.is_empty() {
-                            value.push(' ');
-                        }
-                        value.push_str(&t[j].text);
-                        j += 1;
-                    }
-                    out.insert(name.clone(), value);
-                }
-                i = j;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Renders constants in the `snapshot_format.lock` format.
-#[must_use]
-pub fn render_lock(constants: &WireConstants) -> String {
-    let mut out = String::from(
-        "# Snapshot/WAL wire-format lock. Regenerate ONLY together with a\n\
-         # format-version bump: cargo run -p stpm-lint -- --write-format-lock\n",
-    );
-    for (name, value) in constants {
-        out.push_str(name);
-        out.push_str(" = ");
-        out.push_str(value);
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a lock file produced by [`render_lock`].
-#[must_use]
-pub fn parse_lock(lock: &str) -> WireConstants {
-    let mut out = WireConstants::new();
-    for line in lock.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((name, value)) = line.split_once('=') {
-            out.insert(name.trim().to_string(), value.trim().to_string());
-        }
-    }
-    out
-}
-
-/// Which version key guards a given frozen constant.
-fn version_key_for(name: &str) -> &'static str {
-    if name.starts_with("WAL_") {
-        "WAL_VERSION"
-    } else {
-        "SNAPSHOT_VERSION"
-    }
-}
-
-/// Checks the `wire-format-freeze` rule: `current` (extracted from
-/// `snapshot.rs`) against `locked` (the committed lock file). Returns
-/// diagnostics attributed to `file`.
-#[must_use]
-pub fn check_format_lock(
-    file: &str,
-    current: &WireConstants,
-    locked: &WireConstants,
-) -> Vec<Diagnostic> {
-    fn emit_into(diags: &mut Vec<Diagnostic>, file: &str, message: String) {
-        diags.push(Diagnostic {
-            file: file.to_string(),
-            line: 1,
-            col: 1,
-            rule: "wire-format-freeze",
-            message,
-        });
-    }
-    let mut diags = Vec::new();
-    let version_bumped = |key: &str| current.get(key) != locked.get(key);
-
-    for (name, value) in current {
-        if name.ends_with("_VERSION") {
-            continue;
-        }
-        match locked.get(name) {
-            None => {
-                if !version_bumped(version_key_for(name)) {
-                    emit_into(
-                        &mut diags,
-                        file,
-                        format!(
-                            "new wire-format constant `{name}` ({value}) without a \
-                             `{}` bump — readers cannot distinguish the formats",
-                            version_key_for(name)
-                        ),
-                    );
-                }
-            }
-            Some(locked_value) if locked_value != value => {
-                if !version_bumped(version_key_for(name)) {
-                    emit_into(
-                        &mut diags,
-                        file,
-                        format!(
-                            "wire-format constant `{name}` changed ({locked_value} -> {value}) \
-                             without a `{}` bump — old snapshots would be misread",
-                            version_key_for(name)
-                        ),
-                    );
-                }
-            }
-            Some(_) => {}
-        }
-    }
-    for name in locked.keys() {
-        if name.ends_with("_VERSION") || current.contains_key(name) {
-            continue;
-        }
-        if !version_bumped(version_key_for(name)) {
-            emit_into(
-                &mut diags,
-                file,
-                format!(
-                    "wire-format constant `{name}` was removed without a `{}` bump",
-                    version_key_for(name)
-                ),
-            );
-        }
-    }
-    // A version bump (or any drift while bumped) must be accompanied by a
-    // lock refresh, so the next change diffs against the right baseline.
-    if diags.is_empty() && current != locked {
-        emit_into(
-            &mut diags,
-            file,
-            "snapshot wire format changed with a version bump — refresh the lock: \
-             cargo run -p stpm-lint -- --write-format-lock"
-                .into(),
-        );
-    }
-    diags
 }

@@ -1,9 +1,9 @@
 //! Fixture tests: each fixture under `tests/fixtures/` is linted under a
 //! synthetic workspace path that puts it in scope of one rule, and the test
-//! asserts the exact pass/fail outcome — including suppression handling,
-//! unused-suppression reporting, and the wire-format version-bump cases.
+//! asserts the exact pass/fail outcome — including suppression handling
+//! and unused-suppression reporting.
 
-use stpm_lint::{check_format_lock, extract_wire_constants, lint_source, parse_lock, render_lock};
+use stpm_lint::lint_source;
 
 fn rules_hit(file: &str, source: &str) -> Vec<&'static str> {
     let mut rules: Vec<&'static str> = lint_source(file, source)
@@ -165,78 +165,7 @@ fn durable_marker_outside_registered_files_is_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// wire-format-freeze: the lock round-trips, and every drift case resolves
-// the way the rule promises.
-// ---------------------------------------------------------------------------
-
-const FROZEN_V1: &str = r#"
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STPMSNAP";
-pub const SNAPSHOT_VERSION: u16 = 1;
-const SEC_CONFIG: u8 = 1;
-const SEC_STATE: u8 = 3;
-"#;
-
-#[test]
-fn lock_round_trips_through_render_and_parse() {
-    let constants = extract_wire_constants(FROZEN_V1);
-    assert_eq!(constants.len(), 4, "{constants:?}");
-    let locked = parse_lock(&render_lock(&constants));
-    assert_eq!(constants, locked);
-    assert!(check_format_lock("snapshot.rs", &constants, &locked).is_empty());
-}
-
-#[test]
-fn tag_change_without_version_bump_is_an_error() {
-    let locked = extract_wire_constants(FROZEN_V1);
-    let drifted = FROZEN_V1.replace("SEC_STATE: u8 = 3", "SEC_STATE: u8 = 7");
-    let current = extract_wire_constants(&drifted);
-    let diags = check_format_lock("snapshot.rs", &current, &locked);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, "wire-format-freeze");
-    assert!(
-        diags[0].message.contains("SNAPSHOT_VERSION"),
-        "the error must demand a version bump: {}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn tag_change_with_version_bump_demands_a_lock_refresh() {
-    let locked = extract_wire_constants(FROZEN_V1);
-    let bumped = FROZEN_V1
-        .replace("SEC_STATE: u8 = 3", "SEC_STATE: u8 = 7")
-        .replace("SNAPSHOT_VERSION: u16 = 1", "SNAPSHOT_VERSION: u16 = 2");
-    let current = extract_wire_constants(&bumped);
-    let diags = check_format_lock("snapshot.rs", &current, &locked);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(
-        diags[0].message.contains("refresh the lock"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn version_bump_with_regenerated_lock_passes() {
-    let bumped = FROZEN_V1
-        .replace("SEC_STATE: u8 = 3", "SEC_STATE: u8 = 7")
-        .replace("SNAPSHOT_VERSION: u16 = 1", "SNAPSHOT_VERSION: u16 = 2");
-    let current = extract_wire_constants(&bumped);
-    let locked = parse_lock(&render_lock(&current));
-    assert!(check_format_lock("snapshot.rs", &current, &locked).is_empty());
-}
-
-#[test]
-fn added_constant_without_version_bump_is_an_error() {
-    let locked = extract_wire_constants(FROZEN_V1);
-    let grown = format!("{FROZEN_V1}const SEC_EVENTS: u8 = 4;\n");
-    let current = extract_wire_constants(&grown);
-    let diags = check_format_lock("snapshot.rs", &current, &locked);
-    assert!(!diags.is_empty(), "adding a section tag silently must fail");
-}
-
-// ---------------------------------------------------------------------------
-// The committed workspace itself: clean lint, lock in sync.
+// The committed workspace itself: clean lint.
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -9,8 +9,9 @@
 //! snapshot format, so torn or corrupt frames surface as typed errors,
 //! never panics.
 //!
-//! Appends carry already-symbolized batches (the same shape the streaming
-//! pipeline's WAL logs): per series its name, alphabet and new symbols.
+//! Appends carry already-symbolized batches in the encoding the streaming
+//! pipeline's WAL logs them in ([`snapshot::write_symbolic_database`]): per
+//! series its name, alphabet and new symbols.
 //! Symbol ids are validated against the alphabet at decode time; batches
 //! that are shape-valid but semantically wrong for a tenant (a different
 //! series set, say) are the tenant's problem — and its quarantine, not its
@@ -18,12 +19,14 @@
 
 use crate::stats::{ServiceStats, TenantStats};
 use std::io::{self, Read, Write};
-use stpm_core::snapshot::{ByteReader, ByteWriter};
+use stpm_core::snapshot::{self, ByteReader, ByteWriter};
 use stpm_core::{Error as CoreError, Result as CoreResult};
-use stpm_timeseries::{Alphabet, SymbolId, SymbolicDatabase, SymbolicSeries};
+use stpm_timeseries::SymbolicDatabase;
 
 /// Version byte leading every payload; bumped on incompatible changes.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Version 2 writes an append's label counts as `u32`, in the symbolic
+/// encoding of the snapshot `DSYB` section and WAL records.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard cap on a single frame payload. Larger frames are rejected before
 /// any allocation happens.
@@ -231,51 +234,6 @@ fn corrupt(reason: String) -> CoreError {
     CoreError::SnapshotCorrupt { reason }
 }
 
-fn write_batch(w: &mut ByteWriter, batch: &SymbolicDatabase) {
-    w.put_u32(u32::try_from(batch.num_series()).unwrap_or(u32::MAX));
-    for series in batch.series() {
-        w.put_str(series.name());
-        let labels = series.alphabet().labels();
-        w.put_u16(u16::try_from(labels.len()).unwrap_or(u16::MAX));
-        for label in labels {
-            w.put_str(label);
-        }
-        w.put_u64(series.len() as u64);
-        for symbol in series.symbols() {
-            w.put_u16(symbol.0);
-        }
-    }
-}
-
-fn read_batch(r: &mut ByteReader<'_>) -> CoreResult<SymbolicDatabase> {
-    let num_series = r.take_u32()?;
-    let mut series = Vec::new();
-    for _ in 0..num_series {
-        let name = r.take_str()?;
-        let num_labels = r.take_u16()?;
-        let mut labels = Vec::new();
-        for _ in 0..num_labels {
-            labels.push(r.take_str()?);
-        }
-        let alphabet = Alphabet::new(labels)
-            .map_err(|e| corrupt(format!("batch series {name}: invalid alphabet: {e}")))?;
-        let len = r.take_u64()?;
-        let mut symbols = Vec::new();
-        for _ in 0..len {
-            let raw = r.take_u16()?;
-            if raw as usize >= alphabet.len() {
-                return Err(corrupt(format!(
-                    "batch series {name}: symbol {raw} outside its alphabet of {} labels",
-                    alphabet.len()
-                )));
-            }
-            symbols.push(SymbolId(raw));
-        }
-        series.push(SymbolicSeries::new(name, symbols, alphabet));
-    }
-    SymbolicDatabase::new(series).map_err(|e| corrupt(format!("batch is not a database: {e}")))
-}
-
 /// Encodes a request payload (framing is [`write_frame`]'s job).
 #[must_use]
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -290,7 +248,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             w.put_u8(OP_APPEND);
             w.put_str(tenant);
             w.put_u32(*deadline_ms);
-            write_batch(&mut w, batch);
+            snapshot::write_symbolic_database(&mut w, batch);
         }
         Request::Checkpoint { tenant } => {
             w.put_u8(OP_CHECKPOINT);
@@ -325,7 +283,7 @@ pub fn decode_request(bytes: &[u8]) -> CoreResult<Request> {
         OP_APPEND => {
             let tenant = r.take_str()?;
             let deadline_ms = r.take_u32()?;
-            let batch = read_batch(&mut r)?;
+            let batch = snapshot::read_symbolic_database(&mut r)?;
             Request::Append {
                 tenant,
                 deadline_ms,
@@ -552,6 +510,7 @@ pub fn decode_response(bytes: &[u8]) -> CoreResult<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stpm_timeseries::{Alphabet, SymbolId, SymbolicSeries};
 
     fn sample_batch() -> SymbolicDatabase {
         let alphabet = Alphabet::from_strs(&["lo", "hi"]).unwrap();

@@ -274,3 +274,94 @@ fn hard_kills_at_scripted_arrival_points_lose_nothing() {
         );
     }
 }
+
+/// The storage operations `step` performs on `fs`, per failpoint in
+/// [`failpoints::ALL`] order; failpoints it does not touch are left out.
+fn storage_ops(fs: &FaultyFs, step: impl FnOnce()) -> Vec<(&'static str, u64)> {
+    let before: Vec<u64> = failpoints::ALL.iter().map(|fp| fs.op_count(fp)).collect();
+    step();
+    failpoints::ALL
+        .iter()
+        .zip(before)
+        .map(|(fp, before)| (*fp, fs.op_count(fp) - before))
+        .filter(|&(_, ops)| ops > 0)
+        .collect()
+}
+
+#[test]
+fn a_tenant_lifecycle_performs_a_pinned_number_of_storage_operations() {
+    // A fleet's set-up is thousands of first appends and eviction
+    // snapshots, so one more storage operation on any of these paths is a
+    // measurable cost. Each step's operations are pinned per failpoint.
+    let load = load();
+    let mut config = config(&load);
+    config.memory_budget = None;
+    let fs = FaultyFs::with_seed(23);
+    let tenant = &load.tenants[0];
+    let append = |service: &Service, batch: usize| {
+        let response = service.call(Request::Append {
+            tenant: tenant.name.clone(),
+            deadline_ms: 0,
+            batch: tenant.batches[batch].clone(),
+        });
+        assert!(
+            matches!(response, Response::Appended { .. }),
+            "{response:?}"
+        );
+    };
+
+    let service = restart(&fs, &config);
+    let first_append = storage_ops(&fs, || append(&service, 0));
+    let later_append = storage_ops(&fs, || append(&service, 1));
+    // A drain flushes each live tenant through the same eviction the
+    // memory-budget enforcer runs.
+    let eviction = storage_ops(&fs, || assert_eq!(service.drain().flushed, 1));
+    let service = restart(&fs, &config);
+    let rehydration = storage_ops(&fs, || {
+        tenant_granules(&service, &tenant.name);
+    });
+    assert_eq!(service.stats().rehydrations, 1);
+    service.kill();
+
+    assert_eq!(
+        first_append,
+        [
+            (failpoints::WAL_OPEN, 1),
+            (failpoints::WAL_READ, 1),
+            (failpoints::WAL_WRITE_HEADER, 1),
+            (failpoints::WAL_HEADER_SYNC, 1),
+            (failpoints::WAL_DIR_SYNC, 1),
+            (failpoints::WAL_APPEND, 2),
+            (failpoints::WAL_APPEND_SYNC, 1),
+            (failpoints::RECOVER_READ_SNAPSHOT, 1),
+            (failpoints::RECOVER_READ_WAL, 1),
+        ]
+    );
+    assert_eq!(
+        later_append,
+        [
+            (failpoints::WAL_APPEND, 2),
+            (failpoints::WAL_APPEND_SYNC, 1)
+        ]
+    );
+    assert_eq!(
+        eviction,
+        [
+            (failpoints::SNAPSHOT_CREATE_TMP, 1),
+            (failpoints::SNAPSHOT_WRITE, 1),
+            (failpoints::SNAPSHOT_SYNC, 1),
+            (failpoints::SNAPSHOT_RENAME, 1),
+            (failpoints::SNAPSHOT_DIR_SYNC, 1),
+            (failpoints::WAL_RESET, 2),
+        ]
+    );
+    assert_eq!(
+        rehydration,
+        [
+            (failpoints::WAL_OPEN, 1),
+            (failpoints::WAL_READ, 1),
+            (failpoints::RECOVER_READ_SNAPSHOT, 1),
+            (failpoints::RECOVER_READ_WAL, 1),
+        ]
+    );
+}

@@ -49,7 +49,7 @@ fn pipeline() -> StreamingPipeline {
     };
     // Snapshots carry the symbolic history and the miner state, but not the
     // symbolizer (arbitrary user code): every process configures the same
-    // builder, and `restore_from`/`recover` verify the thresholds match.
+    // builder, and `recover` verifies the thresholds match.
     Pipeline::builder()
         .symbolizer(ThresholdSymbolizer::binary(0.1, "Off", "On"))
         .mapping_factor(3)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Static-analysis gate: the project lint pass (stpm-lint), its fixture
-# suite, the wire-format lock freshness check, the golden-snapshot byte
-# check, the strict-invariants test run, and the core unit tests in a
-# plain release build.
+# suite, the golden-file byte checks of every wire format, the
+# strict-invariants test run, and the core unit tests in a plain release
+# build.
 #
 # CI's analysis job executes this exact script, so a local
 # `scripts/ci_static_analysis.sh` reproduces the CI gate bit for bit.
@@ -15,19 +15,16 @@ cargo run --release -p stpm-lint
 echo "== lint fixture suite =="
 cargo test --release -q -p stpm-lint
 
-echo "== wire-format lock is committed and fresh =="
-test -f snapshot_format.lock
-cp snapshot_format.lock /tmp/snapshot_format.lock.committed
-cargo run --release -q -p stpm-lint -- --write-format-lock
-if ! diff -u /tmp/snapshot_format.lock.committed snapshot_format.lock; then
-  echo "snapshot_format.lock is stale — commit the regenerated lock" >&2
-  exit 1
-fi
-
-echo "== snapshot payload bytes match the committed golden snapshot =="
-# The lock freezes the tags; this freezes the payload encoding itself, so
-# a changed field width without a SNAPSHOT_VERSION bump fails here.
-cargo test --release -q --test snapshot_format -- --exact the_encoder_reproduces_the_golden_snapshot
+echo "== wire formats match their committed golden files =="
+# Golden bytes are the only format freeze: a changed tag, magic, version or
+# field encoding of the miner snapshot, the pipeline snapshot, the WAL or
+# a protocol frame fails one of these byte-for-byte comparisons.
+cargo test --release -q --test snapshot_format -- --exact \
+  the_encoder_reproduces_the_golden_snapshot \
+  the_encoder_reproduces_the_golden_pipeline_snapshot \
+  the_encoder_reproduces_the_golden_wal
+cargo test --release -q -p stpm-service --test protocol_frames -- --exact \
+  every_frame_matches_its_golden_bytes
 
 echo "== strict-invariants test run (validators on in release) =="
 cargo test --release -q --features strict-invariants

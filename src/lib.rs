@@ -53,13 +53,11 @@ pub use stpm_timeseries as timeseries;
 use stpm_approx::AStpmMiner;
 use stpm_baseline::ApsGrowth;
 use stpm_core::fault::{failpoints, RealFs, RetryPolicy, StorageBackend};
-use stpm_core::snapshot::{self, ByteReader, ByteWriter, CheckpointMeta};
+use stpm_core::snapshot::{self, CheckpointMeta};
 use stpm_core::{
     EngineReport, MiningEngine, MiningInput, MiningReport, StpmConfig, StpmMiner, StreamingMiner,
 };
-use stpm_timeseries::{
-    Alphabet, SequenceDatabase, SymbolId, SymbolicDatabase, SymbolicSeries, Symbolizer, TimeSeries,
-};
+use stpm_timeseries::{SequenceDatabase, SymbolicDatabase, Symbolizer, TimeSeries};
 
 /// The most commonly used items of the whole workspace, importable with a
 /// single `use freqstpfts::prelude::*`.
@@ -326,6 +324,7 @@ impl Pipeline {
             retry: RetryPolicy::default(),
             io_retries: 0,
             wal_behind: false,
+            recover_failed: false,
         }
     }
 
@@ -355,6 +354,93 @@ struct StreamState {
     dsyb: SymbolicDatabase,
     dseq: SequenceDatabase,
     miner: StreamingMiner,
+}
+
+impl StreamState {
+    /// Folds a symbolized batch into `state` (databases + miner), starting
+    /// it on the first batch, without WAL logging and without emitting a
+    /// checkpoint report — the shared core of
+    /// [`StreamingPipeline::append_symbolic`] and WAL replay, where mining a
+    /// full report per replayed record would make recovery cost records ×
+    /// report size instead of one absorb per record.
+    fn absorb(
+        state: &mut Option<StreamState>,
+        batch: &SymbolicDatabase,
+        mapping_factor: u64,
+        config: &StpmConfig,
+    ) -> Result<(), PipelineError> {
+        if mapping_factor == 0 {
+            return Err(PipelineError::Transform(
+                stpm_timeseries::Error::InvalidGranularity {
+                    reason: "the sequence-mapping factor m must be at least 1".into(),
+                },
+            ));
+        }
+        let state = match state {
+            Some(state) => {
+                state
+                    .dsyb
+                    .append_batch(batch)
+                    .map_err(PipelineError::Transform)?;
+                state
+            }
+            None => {
+                let dsyb = batch.clone();
+                let dseq = SequenceDatabase::from_sequences(
+                    Vec::new(),
+                    dsyb.registry().clone(),
+                    mapping_factor,
+                    dsyb.num_series(),
+                );
+                let miner =
+                    StreamingMiner::new(config, dsyb.registry()).map_err(PipelineError::Mining)?;
+                state.insert(StreamState { dsyb, dseq, miner })
+            }
+        };
+        let appended = state
+            .dseq
+            .append_from_symbolic(&state.dsyb)
+            .map_err(PipelineError::Transform)?;
+        state
+            .miner
+            .append_batch(appended)
+            .map_err(PipelineError::Mining)?;
+        Ok(())
+    }
+
+    /// Rebuilds the state a pipeline snapshot holds, checking the restoring
+    /// pipeline's mapping factor and configuration against it.
+    fn decode(
+        bytes: &[u8],
+        mapping_factor: u64,
+        config: &StpmConfig,
+    ) -> Result<Option<StreamState>, PipelineError> {
+        let Some((dsyb, miner)) = snapshot::decode_pipeline(bytes, mapping_factor, config)
+            .map_err(PipelineError::Persistence)?
+        else {
+            return Ok(None);
+        };
+        let mut dseq = SequenceDatabase::from_sequences(
+            Vec::new(),
+            dsyb.registry().clone(),
+            mapping_factor,
+            dsyb.num_series(),
+        );
+        dseq.append_from_symbolic(&dsyb)
+            .map_err(PipelineError::Transform)?;
+        if miner.num_granules() != dseq.num_granules() {
+            return Err(PipelineError::Persistence(
+                stpm_core::Error::SnapshotCorrupt {
+                    reason: format!(
+                        "the miner absorbed {} granules but the symbolic database maps to {}",
+                        miner.num_granules(),
+                        dseq.num_granules()
+                    ),
+                },
+            ));
+        }
+        Ok(Some(StreamState { dsyb, dseq, miner }))
+    }
 }
 
 /// The streaming counterpart of [`Pipeline`]: raw samples arrive in batches,
@@ -421,6 +507,10 @@ pub struct StreamingPipeline {
     /// then ahead of the log, and a later record would not continue it.
     /// Appends are refused until `snapshot_to` or `recover` closes the gap.
     wal_behind: bool,
+    /// Set when `recover` failed: neither memory nor the WAL handle then
+    /// reflects the files on disk, so appends and snapshots are refused
+    /// until a `recover` succeeds.
+    recover_failed: bool,
 }
 
 /// An attached write-ahead log: the open file, its path (kept so
@@ -447,6 +537,7 @@ impl std::fmt::Debug for StreamingPipeline {
             )
             .field("io_retries", &self.io_retries)
             .field("wal_behind", &self.wal_behind)
+            .field("recover_failed", &self.recover_failed)
             .finish()
     }
 }
@@ -487,12 +578,17 @@ impl StreamingPipeline {
     /// guaranteed). Memory is then ahead of the log, so every later append
     /// fails with [`PipelineError::Persistence`] too, until a successful
     /// [`snapshot_to`](StreamingPipeline::snapshot_to) covers memory or
-    /// [`recover`](StreamingPipeline::recover) rebuilds it from disk.
+    /// [`recover`](StreamingPipeline::recover) rebuilds it from disk. After
+    /// a failed `recover`, appends fail with [`PipelineError::Persistence`]
+    /// until a `recover` succeeds. A series whose alphabet exceeds the
+    /// 65 536 ids of the `u16` symbol space is a [`PipelineError::Transform`]
+    /// error, and the batch is neither absorbed nor logged.
     // lint: durable
     pub fn append_symbolic(
         &mut self,
         batch: &SymbolicDatabase,
     ) -> Result<EngineReport, PipelineError> {
+        self.refuse_after_failed_recover()?;
         if self.wal_behind {
             return Err(PipelineError::Persistence(stpm_core::Error::SnapshotIo {
                 reason: "a failed WAL append left memory ahead of the log; snapshot_to or \
@@ -500,10 +596,26 @@ impl StreamingPipeline {
                     .into(),
             }));
         }
+        // Such a batch would be absorbed and logged, but no WAL replay could
+        // decode it again.
+        if let Some(series) = batch.series().iter().find(|s| s.alphabet().len() > 1 << 16) {
+            return Err(PipelineError::Transform(
+                stpm_timeseries::Error::InvalidAlphabet {
+                    reason: format!(
+                        "series `{}` has {} labels, more than the 65536 symbol ids of a u16",
+                        series.name(),
+                        series.alphabet().len()
+                    ),
+                },
+            ));
+        }
         let start_instants = self.state.as_ref().map_or(0, |s| s.dsyb.len() as u64);
-        self.absorb_symbolic(batch)?;
+        StreamState::absorb(&mut self.state, batch, self.mapping_factor, &self.config)?;
         if let Some(wal) = self.wal.as_mut() {
-            let record = snapshot::wal_encode_record(&encode_symbolic_batch(start_instants, batch));
+            let record = snapshot::wal_encode_record(&snapshot::encode_symbolic_batch(
+                start_instants,
+                batch,
+            ));
             let retry = self.retry;
             let mut retries = 0_u64;
             let base_len = wal.len;
@@ -527,51 +639,6 @@ impl StreamingPipeline {
         // The batch is durable (or no durability was requested): it may now
         // be acknowledged with a checkpoint report.
         self.checkpoint()
-    }
-
-    /// Folds a symbolized batch into the in-memory state (databases + miner)
-    /// without WAL logging and without emitting a checkpoint report — the
-    /// shared core of [`StreamingPipeline::append_symbolic`] and WAL replay,
-    /// where mining a full report per replayed record would make recovery
-    /// cost records × report size instead of one absorb per record.
-    fn absorb_symbolic(&mut self, batch: &SymbolicDatabase) -> Result<(), PipelineError> {
-        if self.mapping_factor == 0 {
-            return Err(PipelineError::Transform(
-                stpm_timeseries::Error::InvalidGranularity {
-                    reason: "the sequence-mapping factor m must be at least 1".into(),
-                },
-            ));
-        }
-        match &mut self.state {
-            None => {
-                let dsyb = batch.clone();
-                let dseq = SequenceDatabase::from_sequences(
-                    Vec::new(),
-                    dsyb.registry().clone(),
-                    self.mapping_factor,
-                    dsyb.num_series(),
-                );
-                let miner = StreamingMiner::new(&self.config, dsyb.registry())
-                    .map_err(PipelineError::Mining)?;
-                self.state = Some(StreamState { dsyb, dseq, miner });
-            }
-            Some(state) => {
-                state
-                    .dsyb
-                    .append_batch(batch)
-                    .map_err(PipelineError::Transform)?;
-            }
-        }
-        let state = self.state.as_mut().expect("state was just initialised");
-        let appended = state
-            .dseq
-            .append_from_symbolic(&state.dsyb)
-            .map_err(PipelineError::Transform)?;
-        state
-            .miner
-            .append_batch(appended)
-            .map_err(PipelineError::Mining)?;
-        Ok(())
     }
 
     /// Emits the checkpoint report of everything absorbed so far without
@@ -729,13 +796,6 @@ pub struct RecoveryReport {
     pub io_retries: u64,
 }
 
-/// Facade-level section tags of a pipeline snapshot (`kind = 2`): the
-/// pipeline parameters, the symbolic database, and an embedded miner
-/// snapshot.
-const SEC_PIPE: u32 = 0x10;
-const SEC_DSYB: u32 = 0x11;
-const SEC_MINER: u32 = 0x12;
-
 impl StreamingPipeline {
     /// Serializes the pipeline's full durable state — mapping factor,
     /// symbolic database and the embedded miner snapshot — to the file at
@@ -753,21 +813,29 @@ impl StreamingPipeline {
     ///
     /// The symbolizer is *not* serialized (symbolizers are arbitrary user
     /// code); the restoring side configures it through the builder exactly as
-    /// on first startup. To snapshot into something other than a file, see
-    /// [`StreamingPipeline::snapshot_to_writer`].
+    /// on first startup.
     ///
     /// # Errors
     /// [`PipelineError::Persistence`] on write, sync, rename or
-    /// WAL-truncation failures. On error the checkpoint accounting
+    /// WAL-truncation failures, and after a failed
+    /// [`recover`](StreamingPipeline::recover) until a `recover` succeeds
+    /// (the state in memory then need not be the one on disk, and writing it
+    /// could replace a good snapshot). On error the checkpoint accounting
     /// ([`pending_granules`](StreamingPipeline::pending_granules),
     /// [`checkpoint_meta`](StreamingPipeline::checkpoint_meta)) is unchanged
     /// and the WAL is left untouched, so the failed snapshot can simply be
     /// retried.
     // lint: durable
     pub fn snapshot_to(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), PipelineError> {
+        self.refuse_after_failed_recover()?;
         let io = |e: &std::io::Error| PipelineError::Persistence(stpm_core::Error::snapshot_io(e));
         let path = path.as_ref();
-        let bytes = self.encode_snapshot();
+        // The embedded miner section carries the *next* checkpoint id, which
+        // `mark_snapshot_durable` commits once the bytes are durable.
+        let bytes = snapshot::encode_pipeline(
+            self.mapping_factor,
+            self.state.as_ref().map(|s| (&s.dsyb, &s.miner)),
+        );
         let mut tmp_name = path
             .file_name()
             .map_or_else(|| "snapshot".into(), std::ffi::OsString::from);
@@ -811,71 +879,16 @@ impl StreamingPipeline {
         // The durable snapshot covers memory, so the log may continue from
         // it even if a failed append had left memory ahead of the log.
         self.wal_behind = false;
-        self.reset_wal()
-    }
-
-    /// Serializes the same snapshot as [`StreamingPipeline::snapshot_to`] to
-    /// an arbitrary writer — for callers persisting to object stores,
-    /// sockets, or test buffers. Unlike `snapshot_to`, this does **not**
-    /// truncate the write-ahead log: a generic writer gives no durability
-    /// point, so the caller must make the bytes durable itself and only then
-    /// call [`StreamingPipeline::reset_wal`]. Truncating earlier re-opens
-    /// the crash window this subsystem exists to close.
-    ///
-    /// # Errors
-    /// [`PipelineError::Persistence`] when the writer fails; the checkpoint
-    /// accounting is then unchanged.
-    pub fn snapshot_to_writer(
-        &mut self,
-        out: &mut impl std::io::Write,
-    ) -> Result<(), PipelineError> {
-        let bytes = self.encode_snapshot();
-        // The probe gives fault plans a hook on this path even though the
-        // writer itself is caller-supplied and outside the backend.
-        self.storage
-            .failpoint(failpoints::WRITER_WRITE)
-            .and_then(|()| out.write_all(&bytes))
-            .map_err(|e| PipelineError::Persistence(stpm_core::Error::snapshot_io(&e)))?;
-        if let Some(state) = &mut self.state {
-            state.miner.mark_snapshot_durable();
+        if let Some(wal) = &mut self.wal {
+            let header_len = snapshot::wal_header().len() as u64;
+            wal.file
+                .set_len(failpoints::WAL_RESET, header_len)
+                .map_err(|e| io(&e))?;
+            wal.file
+                .sync_all(failpoints::WAL_RESET)
+                .map_err(|e| io(&e))?;
+            wal.len = header_len;
         }
-        Ok(())
-    }
-
-    /// Encodes the full pipeline snapshot without committing the miner's
-    /// checkpoint bump (the embedded miner section carries the *next*
-    /// checkpoint id; callers commit via `mark_snapshot_durable` once the
-    /// bytes landed).
-    fn encode_snapshot(&self) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        snapshot::write_header(&mut bytes, snapshot::KIND_PIPELINE);
-        let mut pipe = ByteWriter::new();
-        pipe.put_u64(self.mapping_factor);
-        pipe.put_u8(u8::from(self.state.is_some()));
-        snapshot::write_section(&mut bytes, SEC_PIPE, pipe.bytes());
-        if let Some(state) = &self.state {
-            snapshot::write_section(&mut bytes, SEC_DSYB, &encode_dsyb(&state.dsyb));
-            snapshot::write_section(&mut bytes, SEC_MINER, &state.miner.encode_snapshot());
-        }
-        bytes
-    }
-
-    /// Replaces this pipeline's state with one restored from a snapshot
-    /// produced by [`StreamingPipeline::snapshot_to`]. The pipeline's own
-    /// configuration is re-validated against the snapshot: the mapping factor
-    /// and the state-shaping mining parameters (ε, `d_o`, `maxPatternLen`)
-    /// must match, while seasonality thresholds may differ (season trackers
-    /// are then replayed under the new thresholds).
-    ///
-    /// # Errors
-    /// [`PipelineError::Persistence`] wrapping the typed snapshot errors:
-    /// corruption, a future format version, or a configuration mismatch.
-    pub fn restore_from(&mut self, input: &mut impl std::io::Read) -> Result<(), PipelineError> {
-        let mut bytes = Vec::new();
-        input
-            .read_to_end(&mut bytes)
-            .map_err(|e| PipelineError::Persistence(stpm_core::Error::snapshot_io(&e)))?;
-        self.state = decode_pipeline_state(&bytes, self.mapping_factor, &self.config)?;
         Ok(())
     }
 
@@ -899,13 +912,17 @@ impl StreamingPipeline {
     /// # Errors
     /// [`PipelineError::Persistence`] on I/O failures or when `path` holds a
     /// file whose header is not a supported WAL header.
-    // lint: durable
     pub fn attach_wal(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), PipelineError> {
+        self.wal = Some(self.open_wal(path.as_ref())?);
+        Ok(())
+    }
+
+    // lint: durable
+    fn open_wal(&self, path: &std::path::Path) -> Result<WalHandle, PipelineError> {
         let io = |e: &std::io::Error| PipelineError::Persistence(stpm_core::Error::snapshot_io(e));
-        let path = path.as_ref().to_path_buf();
         let mut file = self
             .storage
-            .open_append(failpoints::WAL_OPEN, &path)
+            .open_append(failpoints::WAL_OPEN, path)
             .map_err(|e| io(&e))?;
         let mut bytes = Vec::new();
         file.read_to_end(failpoints::WAL_READ, &mut bytes)
@@ -918,7 +935,7 @@ impl StreamingPipeline {
             // The header is durable, but the *name* of a freshly created WAL
             // is not until its directory entry is — without this, a crash
             // after the first acknowledged append could lose the whole log.
-            if let Some(parent) = parent_dir(&path) {
+            if let Some(parent) = parent_dir(path) {
                 self.storage
                     .sync_dir(failpoints::WAL_DIR_SYNC, parent)
                     .map_err(|e| io(&e))?;
@@ -934,8 +951,11 @@ impl StreamingPipeline {
             }
             contents.durable_len
         };
-        self.wal = Some(WalHandle { file, path, len });
-        Ok(())
+        Ok(WalHandle {
+            file,
+            path: path.to_path_buf(),
+            len,
+        })
     }
 
     /// Crash recovery on startup: restores the snapshot at `snapshot_path`
@@ -949,47 +969,58 @@ impl StreamingPipeline {
     /// [`snapshot_to`](StreamingPipeline::snapshot_to) files are never
     /// empty.)
     ///
+    /// The pipeline's own configuration is checked against the snapshot:
+    /// the mapping factor and the state-shaping mining parameters (ε, `d_o`,
+    /// `maxPatternLen`) must match, while seasonality thresholds may differ
+    /// (season trackers are then replayed under the new thresholds).
+    ///
     /// # Errors
     /// [`PipelineError::Persistence`] on corrupt snapshots, corrupt WAL
     /// headers, configuration mismatches or I/O failures;
     /// [`PipelineError::Transform`] / [`PipelineError::Mining`] when a
-    /// replayed batch fails to absorb.
+    /// replayed batch fails to absorb. A failed recovery changes neither the
+    /// state in memory nor the attached WAL, and every later append or
+    /// snapshot fails with [`PipelineError::Persistence`] until a `recover`
+    /// succeeds.
     pub fn recover(
         &mut self,
         snapshot_path: Option<&std::path::Path>,
         wal_path: &std::path::Path,
     ) -> Result<RecoveryReport, PipelineError> {
         let mut retries = 0_u64;
-        let result = self.recover_inner(snapshot_path, wal_path, &mut retries);
+        let recovered = self.recover_inner(snapshot_path, wal_path, &mut retries);
         self.io_retries += retries;
-        result
+        // Commit only a complete recovery: a half-rebuilt state, or one
+        // without its WAL handle, would acknowledge appends no log holds.
+        self.recover_failed = recovered.is_err();
+        let (state, wal, report) = recovered?;
+        self.state = state;
+        self.wal = Some(wal);
+        self.wal_behind = false;
+        Ok(report)
     }
 
     fn recover_inner(
-        &mut self,
+        &self,
         snapshot_path: Option<&std::path::Path>,
         wal_path: &std::path::Path,
         retries: &mut u64,
-    ) -> Result<RecoveryReport, PipelineError> {
+    ) -> Result<(Option<StreamState>, WalHandle, RecoveryReport), PipelineError> {
         let io = |e: &std::io::Error| PipelineError::Persistence(stpm_core::Error::snapshot_io(e));
-        self.state = None;
-        self.wal = None;
-        self.wal_behind = false;
         let retry = self.retry;
-        if let Some(path) = snapshot_path {
-            let read = retry.run(failpoints::RECOVER_READ_SNAPSHOT, retries, || {
+        let read = snapshot_path.map(|path| {
+            retry.run(failpoints::RECOVER_READ_SNAPSHOT, retries, || {
                 self.storage.read(failpoints::RECOVER_READ_SNAPSHOT, path)
-            });
-            match read {
-                Ok(bytes) if bytes.is_empty() => {}
-                Ok(bytes) => {
-                    self.state = decode_pipeline_state(&bytes, self.mapping_factor, &self.config)?;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io(&e)),
+            })
+        });
+        let mut state = match read {
+            Some(Ok(bytes)) if !bytes.is_empty() => {
+                StreamState::decode(&bytes, self.mapping_factor, &self.config)?
             }
-        }
-        let restored_granules = self.num_granules();
+            Some(Err(e)) if e.kind() != std::io::ErrorKind::NotFound => return Err(io(&e)),
+            _ => None,
+        };
+        let restored_granules = state.as_ref().map_or(0, |s| s.miner.num_granules());
         let wal_bytes = match retry.run(failpoints::RECOVER_READ_WAL, retries, || {
             self.storage.read(failpoints::RECOVER_READ_WAL, wal_path)
         }) {
@@ -1001,8 +1032,8 @@ impl StreamingPipeline {
         let mut replayed_records = 0u64;
         for record in &contents.records {
             let (start, batch) =
-                decode_symbolic_batch(record).map_err(PipelineError::Persistence)?;
-            let current = self.state.as_ref().map_or(0, |s| s.dsyb.len() as u64);
+                snapshot::decode_symbolic_batch(record).map_err(PipelineError::Persistence)?;
+            let current = state.as_ref().map_or(0, |s| s.dsyb.len() as u64);
             if start + batch.len() as u64 <= current {
                 // The snapshot already covers this record (it was written
                 // before the snapshot that a crash then prevented from
@@ -1020,42 +1051,29 @@ impl StreamingPipeline {
                 ));
             }
             // Absorb without a per-record checkpoint mine: recovery only
-            // needs the final state, and [`attach_wal`] below truncates any
-            // torn tail before new appends land.
-            self.absorb_symbolic(&batch)?;
+            // needs the final state, and `open_wal` below truncates any torn
+            // tail before new appends land.
+            StreamState::absorb(&mut state, &batch, self.mapping_factor, &self.config)?;
             replayed_records += 1;
         }
-        self.attach_wal(wal_path)?;
-        Ok(RecoveryReport {
+        let wal = self.open_wal(wal_path)?;
+        let report = RecoveryReport {
             restored_granules,
             replayed_records,
             wal_was_clean: contents.clean,
             io_retries: *retries,
-        })
+        };
+        Ok((state, wal, report))
     }
 
-    /// Truncates the attached WAL (if any) back to its header — declares
-    /// that everything the log held is durably covered elsewhere.
-    /// [`StreamingPipeline::snapshot_to`] calls this automatically once its
-    /// snapshot file is durable; callers of
-    /// [`StreamingPipeline::snapshot_to_writer`] call it themselves, *after*
-    /// their sink has made the snapshot bytes durable. A no-op without an
-    /// attached WAL.
-    ///
-    /// # Errors
-    /// [`PipelineError::Persistence`] on truncation or sync failures.
-    pub fn reset_wal(&mut self) -> Result<(), PipelineError> {
-        if let Some(wal) = &mut self.wal {
-            let io =
-                |e: &std::io::Error| PipelineError::Persistence(stpm_core::Error::snapshot_io(e));
-            let header_len = snapshot::wal_header().len() as u64;
-            wal.file
-                .set_len(failpoints::WAL_RESET, header_len)
-                .map_err(|e| io(&e))?;
-            wal.file
-                .sync_all(failpoints::WAL_RESET)
-                .map_err(|e| io(&e))?;
-            wal.len = header_len;
+    /// Refuses appends and snapshots after a failed `recover`.
+    fn refuse_after_failed_recover(&self) -> Result<(), PipelineError> {
+        if self.recover_failed {
+            return Err(PipelineError::Persistence(stpm_core::Error::SnapshotIo {
+                reason: "a failed recover left memory and the log unknown; recover again \
+                         before appending or snapshotting"
+                    .into(),
+            }));
         }
         Ok(())
     }
@@ -1071,188 +1089,6 @@ fn parent_dir(path: &std::path::Path) -> Option<&std::path::Path> {
             parent
         }
     })
-}
-
-/// Encodes the symbolic database for the `DSYB` snapshot section: per series,
-/// its name, alphabet and full symbol vector.
-fn encode_dsyb(dsyb: &SymbolicDatabase) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(u32::try_from(dsyb.num_series()).expect("series count fits u32"));
-    for series in dsyb.series() {
-        write_symbolic_series(&mut w, series);
-    }
-    w.into_bytes()
-}
-
-fn write_symbolic_series(w: &mut ByteWriter, series: &SymbolicSeries) {
-    w.put_str(series.name());
-    let labels = series.alphabet().labels();
-    w.put_u32(u32::try_from(labels.len()).expect("alphabet fits u32"));
-    for label in labels {
-        w.put_str(label);
-    }
-    w.put_u64(series.symbols().len() as u64);
-    for &symbol in series.symbols() {
-        w.put_u16(symbol.0);
-    }
-}
-
-fn read_symbolic_series(r: &mut ByteReader<'_>) -> Result<SymbolicSeries, stpm_core::Error> {
-    let corrupt = |reason: String| stpm_core::Error::SnapshotCorrupt { reason };
-    let name = r.take_str()?;
-    let label_count = r.take_u32()?;
-    if label_count > 1 << 16 {
-        return Err(corrupt(format!(
-            "alphabet of {label_count} symbols exceeds the u16 symbol space"
-        )));
-    }
-    let mut labels = Vec::new();
-    for _ in 0..label_count {
-        labels.push(r.take_str()?);
-    }
-    let alphabet = Alphabet::new(labels)
-        .map_err(|e| corrupt(format!("series `{name}` carries an invalid alphabet: {e}")))?;
-    let symbol_count = r.take_u64()?;
-    let symbol_count = usize::try_from(symbol_count)
-        .map_err(|_| corrupt("symbol count exceeds address space".into()))?;
-    let mut symbols = Vec::with_capacity(symbol_count.min(r.remaining() / 2 + 1));
-    for _ in 0..symbol_count {
-        let symbol = r.take_u16()?;
-        if u32::from(symbol) >= label_count {
-            return Err(corrupt(format!(
-                "series `{name}` references symbol {symbol} outside its {label_count}-symbol \
-                 alphabet"
-            )));
-        }
-        symbols.push(SymbolId(symbol));
-    }
-    Ok(SymbolicSeries::new(name, symbols, alphabet))
-}
-
-fn decode_dsyb(payload: &[u8]) -> Result<SymbolicDatabase, stpm_core::Error> {
-    let mut r = ByteReader::new(payload, "symbolic-database section");
-    let num_series = r.take_u32()?;
-    let mut series = Vec::new();
-    for _ in 0..num_series {
-        series.push(read_symbolic_series(&mut r)?);
-    }
-    r.finish()?;
-    SymbolicDatabase::new(series).map_err(|e| stpm_core::Error::SnapshotCorrupt {
-        reason: format!("symbolic database failed validation: {e}"),
-    })
-}
-
-/// Encodes one appended symbolic batch as a self-contained WAL record
-/// payload: the instant count the stream held before the batch, then the
-/// batch itself.
-fn encode_symbolic_batch(start_instants: u64, batch: &SymbolicDatabase) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(start_instants);
-    w.put_u32(u32::try_from(batch.num_series()).expect("series count fits u32"));
-    for series in batch.series() {
-        write_symbolic_series(&mut w, series);
-    }
-    w.into_bytes()
-}
-
-fn decode_symbolic_batch(payload: &[u8]) -> Result<(u64, SymbolicDatabase), stpm_core::Error> {
-    let mut r = ByteReader::new(payload, "WAL batch record");
-    let start_instants = r.take_u64()?;
-    let num_series = r.take_u32()?;
-    let mut series = Vec::new();
-    for _ in 0..num_series {
-        series.push(read_symbolic_series(&mut r)?);
-    }
-    r.finish()?;
-    let batch = SymbolicDatabase::new(series).map_err(|e| stpm_core::Error::SnapshotCorrupt {
-        reason: format!("WAL batch failed validation: {e}"),
-    })?;
-    Ok((start_instants, batch))
-}
-
-/// Decodes a full pipeline snapshot, re-validating the restoring pipeline's
-/// configuration against it.
-fn decode_pipeline_state(
-    bytes: &[u8],
-    mapping_factor: u64,
-    config: &StpmConfig,
-) -> Result<Option<StreamState>, PipelineError> {
-    let per = PipelineError::Persistence;
-    let (version, mut cursor) =
-        snapshot::parse_header(bytes, snapshot::KIND_PIPELINE).map_err(per)?;
-    let pipe = snapshot::read_section(&mut cursor, SEC_PIPE).map_err(per)?;
-    let mut r = ByteReader::new(pipe, "pipeline section");
-    let stored_m = r.take_u64().map_err(per)?;
-    if stored_m != mapping_factor {
-        return Err(per(stpm_core::Error::SnapshotConfigMismatch {
-            parameter: "mappingFactor",
-            reason: format!(
-                "snapshot maps {stored_m} instants per granule, this pipeline maps \
-                 {mapping_factor} — granule boundaries cannot be replayed"
-            ),
-        }));
-    }
-    let has_state = match r.take_u8().map_err(per)? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(per(stpm_core::Error::SnapshotCorrupt {
-                reason: format!("pipeline section: unknown has-state tag {tag}"),
-            }))
-        }
-    };
-    r.finish().map_err(per)?;
-    let corrupt =
-        |reason: String| PipelineError::Persistence(stpm_core::Error::SnapshotCorrupt { reason });
-    if !has_state {
-        if !cursor.is_empty() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after an empty pipeline snapshot",
-                cursor.len()
-            )));
-        }
-        return Ok(None);
-    }
-    let dsyb =
-        decode_dsyb(snapshot::read_section(&mut cursor, SEC_DSYB).map_err(per)?).map_err(per)?;
-    let miner_bytes = snapshot::read_section(&mut cursor, SEC_MINER).map_err(per)?;
-    if !cursor.is_empty() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the last section",
-            cursor.len()
-        )));
-    }
-    // The embedded miner section is a whole miner snapshot with its own
-    // header; both are written in one go, so their versions must agree.
-    let (miner_version, _) =
-        snapshot::parse_header(miner_bytes, snapshot::KIND_MINER).map_err(per)?;
-    if miner_version != version {
-        return Err(corrupt(format!(
-            "a version-{version} pipeline snapshot embeds a version-{miner_version} miner"
-        )));
-    }
-    let miner = StreamingMiner::restore_with(config, &mut &miner_bytes[..]).map_err(per)?;
-    if miner.registry() != dsyb.registry() {
-        return Err(corrupt(
-            "the miner's event registry diverges from the symbolic database's".into(),
-        ));
-    }
-    let mut dseq = SequenceDatabase::from_sequences(
-        Vec::new(),
-        dsyb.registry().clone(),
-        mapping_factor,
-        dsyb.num_series(),
-    );
-    dseq.append_from_symbolic(&dsyb)
-        .map_err(PipelineError::Transform)?;
-    if miner.num_granules() != dseq.num_granules() {
-        return Err(corrupt(format!(
-            "the miner absorbed {} granules but the symbolic database maps to {}",
-            miner.num_granules(),
-            dseq.num_granules()
-        )));
-    }
-    Ok(Some(StreamState { dsyb, dseq, miner }))
 }
 
 #[cfg(test)]

@@ -164,19 +164,19 @@ fn run_script(fs: &FaultyFs, series: &[TimeSeries]) -> (Vec<u8>, EngineReport, u
         TOTAL_SAMPLES,
         "acknowledged granules lost at final recovery"
     );
-    let bytes = loop {
-        let mut bytes = Vec::new();
-        match survivor.snapshot_to_writer(&mut bytes) {
-            Ok(()) => break bytes,
-            Err(_) => {
-                drop(survivor);
-                fs.crash();
-                fs.clear_faults();
-                crashes += 1;
-                survivor = recover_fresh(fs, &|_| {}, &mut crashes);
-            }
+    // A final snapshot that became durable before a crash was restored by
+    // recovery (nothing is pending then); taking another would fork the
+    // checkpoint-id history.
+    while survivor.pending_granules() > 0 {
+        if survivor.snapshot_to(Path::new(SNAP)).is_err() {
+            drop(survivor);
+            fs.crash();
+            fs.clear_faults();
+            crashes += 1;
+            survivor = recover_fresh(fs, &|_| {}, &mut crashes);
         }
-    };
+    }
+    let bytes = fs.peek(Path::new(SNAP)).expect("the final snapshot");
     let report = survivor.checkpoint().expect("final checkpoint mines");
     (bytes, report, crashes)
 }
@@ -265,6 +265,61 @@ fn a_torn_wal_tail_under_injected_faults_recovers_the_durable_prefix() {
     // The truncated log accepts new appends where the tear was.
     survivor.append(&chunk(&series, 18, 36)).unwrap();
     assert_eq!(survivor.num_granules(), 12);
+
+    // A bare file name lives in the current directory: the fresh log's
+    // directory sync commits it there, so its acked appends survive.
+    let bare = Path::new("bare.wal");
+    let mut writer = stream_builder().into_streaming();
+    writer.set_storage(fs.clone());
+    writer.recover(None, bare).unwrap();
+    writer.append(&chunk(&series, 0, 18)).unwrap();
+    drop(writer);
+    fs.crash();
+    let mut reader = stream_builder().into_streaming();
+    reader.set_storage(fs.clone());
+    assert_eq!(reader.recover(None, bare).unwrap().replayed_records, 1);
+    assert_eq!(reader.num_granules(), 6);
+}
+
+#[test]
+fn a_failed_recover_refuses_appends_and_snapshots_until_a_recover_succeeds() {
+    let fs = FaultyFs::with_seed(11);
+    let series = sample_series(36);
+    fs.fail_nth(failpoints::WAL_OPEN, 1);
+    let mut pipeline = stream_builder().into_streaming();
+    pipeline.set_storage(fs.clone());
+    let err = pipeline
+        .recover(Some(Path::new(SNAP)), Path::new(WAL))
+        .unwrap_err();
+    assert!(matches!(err, PipelineError::Persistence(_)), "{err:?}");
+
+    // Without a log, an acked append would be lost in the next crash, and
+    // a snapshot of whatever memory holds could replace a good one.
+    let refused = pipeline.append(&chunk(&series, 0, 18));
+    assert!(
+        matches!(refused, Err(PipelineError::Persistence(_))),
+        "an append no log holds must not be acknowledged: {refused:?}"
+    );
+    let refused = pipeline.snapshot_to(Path::new(SNAP));
+    assert!(
+        matches!(refused, Err(PipelineError::Persistence(_))),
+        "{refused:?}"
+    );
+    assert_eq!(fs.op_count(failpoints::WAL_APPEND), 0);
+    assert_eq!(fs.op_count(failpoints::SNAPSHOT_CREATE_TMP), 0);
+
+    // A successful recover lifts the refusal, and acked appends survive.
+    pipeline
+        .recover(Some(Path::new(SNAP)), Path::new(WAL))
+        .unwrap();
+    pipeline.append(&chunk(&series, 0, 18)).unwrap();
+    pipeline.append(&chunk(&series, 18, 36)).unwrap();
+    drop(pipeline);
+    fs.crash();
+    let mut crashes = 0;
+    let survivor = recover_fresh(&fs, &|_| {}, &mut crashes);
+    assert_eq!(crashes, 0);
+    assert_eq!(survivor.num_granules(), 12, "acknowledged granules lost");
 }
 
 #[test]

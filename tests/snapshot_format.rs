@@ -1,12 +1,16 @@
-//! The snapshot wire format, pinned: the encoder must reproduce a committed
-//! golden snapshot byte for byte, and snapshots written in format version 1
-//! must still restore and recover exactly.
+//! The snapshot and WAL wire formats, pinned: the encoders must reproduce
+//! committed golden files byte for byte, and snapshots written in format
+//! version 1 must still restore and recover exactly.
 //!
 //! Fixtures (`tests/fixtures/`), all of the paper's running example
 //! (Table II: five binary series, three instants per granule):
 //!
 //! * `miner_v2_paper_golden.snap` — a current-format miner snapshot after
 //!   the first 10 granules.
+//! * `pipeline_v2_paper_golden.snap` + `pipeline_v2_paper_golden.wal` — a
+//!   current-format pipeline snapshot taken after instants `0..18`, and the
+//!   write-ahead log of the two appends that followed it (instants `18..24`
+//!   and `24..31`).
 //! * `miner_v1_paper.snap` — the same state, written by the version-1
 //!   encoder.
 //! * `pipeline_v1.snap` + `pipeline_v1.wal` — a version-1 pipeline snapshot
@@ -108,25 +112,93 @@ fn assert_same_results(a: &EngineReport, b: &EngineReport) {
     );
 }
 
-#[test]
-fn the_encoder_reproduces_the_golden_snapshot() {
-    let bytes = snapshot_bytes(&mut paper_miner(10));
-    let golden = fixture("miner_v2_paper_golden.snap");
-    if std::fs::read(&golden).ok().as_deref() != Some(&bytes[..]) {
-        let actual = std::env::temp_dir().join("miner_v2_paper_golden.snap");
-        std::fs::write(&actual, &bytes).unwrap();
+/// Fails unless `bytes` equal the golden fixture `name`, leaving the new
+/// bytes in the temp dir for a deliberate format change.
+fn assert_golden(name: &str, bytes: &[u8]) {
+    let golden = fixture(name);
+    if std::fs::read(&golden).ok().as_deref() != Some(bytes) {
+        let actual = std::env::temp_dir().join(name);
+        std::fs::write(&actual, bytes).unwrap();
         panic!(
-            "the snapshot encoder no longer reproduces {} byte for byte (the new bytes are in \
-             {}). Snapshots already on disk must keep decoding: if the wire format changed on \
-             purpose, bump SNAPSHOT_VERSION in crates/core/src/snapshot.rs, keep the previous \
-             version readable, regenerate snapshot_format.lock with \
-             `cargo run -p stpm-lint -- --write-format-lock`, and replace the golden file with \
-             the new bytes",
+            "the encoder no longer reproduces {} byte for byte (the new bytes are in {}). \
+             Files already on disk must keep decoding: if the wire format changed on purpose, \
+             bump SNAPSHOT_VERSION or WAL_VERSION in crates/core/src/snapshot.rs, keep the \
+             previous version readable, and replace the golden file with the new bytes",
             golden.display(),
             actual.display()
         );
     }
+}
+
+/// The pipeline the `pipeline_v2_paper_golden` files are written by, on an
+/// in-memory filesystem: instants `0..18` snapshotted to `golden.snap`,
+/// then two appends logged to `golden.wal`.
+fn golden_pipeline(fs: &FaultyFs) -> StreamingPipeline {
+    let mut live = stream_pipeline();
+    live.set_storage(fs.clone());
+    live.attach_wal("golden.wal").unwrap();
+    live.append(&chunk(0, 18)).unwrap();
+    live.snapshot_to("golden.snap").unwrap();
+    live.append(&chunk(18, 24)).unwrap();
+    live.append(&chunk(24, 31)).unwrap();
+    live
+}
+
+#[test]
+fn the_encoder_reproduces_the_golden_snapshot() {
+    let bytes = snapshot_bytes(&mut paper_miner(10));
+    assert_golden("miner_v2_paper_golden.snap", &bytes);
     assert_eq!(version_of(&bytes), snapshot::SNAPSHOT_VERSION);
+}
+
+#[test]
+fn the_encoder_reproduces_the_golden_pipeline_snapshot() {
+    let fs = FaultyFs::new();
+    golden_pipeline(&fs);
+    let bytes = fs.peek(Path::new("golden.snap")).unwrap();
+    assert_golden("pipeline_v2_paper_golden.snap", &bytes);
+    assert_eq!(version_of(&bytes), snapshot::SNAPSHOT_VERSION);
+}
+
+#[test]
+fn the_encoder_reproduces_the_golden_wal() {
+    let fs = FaultyFs::new();
+    golden_pipeline(&fs);
+    let bytes = fs.peek(Path::new("golden.wal")).unwrap();
+    assert_golden("pipeline_v2_paper_golden.wal", &bytes);
+    assert_eq!(bytes[..12], snapshot::wal_header());
+    assert_eq!(snapshot::wal_read(&bytes).unwrap().records.len(), 2);
+}
+
+#[test]
+fn the_golden_pipeline_files_recover_exactly() {
+    let fs = FaultyFs::new();
+    for name in [
+        "pipeline_v2_paper_golden.snap",
+        "pipeline_v2_paper_golden.wal",
+    ] {
+        let mut file = fs.create("test.setup", Path::new(name)).unwrap();
+        file.write_all("test.setup", &std::fs::read(fixture(name)).unwrap())
+            .unwrap();
+    }
+    let mut recovered = stream_pipeline();
+    recovered.set_storage(fs.clone());
+    let report = recovered
+        .recover(
+            Some(Path::new("pipeline_v2_paper_golden.snap")),
+            Path::new("pipeline_v2_paper_golden.wal"),
+        )
+        .unwrap();
+    assert_eq!(report.restored_granules, 6);
+    assert_eq!(report.replayed_records, 2);
+    let live = golden_pipeline(&FaultyFs::new());
+    assert_eq!(recovered.num_granules(), live.num_granules());
+    assert_eq!(recovered.pending_instants(), live.pending_instants());
+    assert_eq!(recovered.checkpoint_meta(), live.checkpoint_meta());
+    assert_same_results(
+        &recovered.checkpoint().unwrap(),
+        &live.checkpoint().unwrap(),
+    );
 }
 
 #[test]
@@ -177,11 +249,8 @@ fn a_version_1_pipeline_snapshot_and_wal_recover_exactly() {
     assert!(report.wal_was_clean);
 
     // The live pipeline the fixtures were written by.
-    let mut live = stream_pipeline();
-    live.append(&chunk(0, 18)).unwrap();
-    live.snapshot_to_writer(&mut Vec::new()).unwrap();
-    live.append(&chunk(18, 24)).unwrap();
-    live.append(&chunk(24, 31)).unwrap();
+    let live_fs = FaultyFs::new();
+    let mut live = golden_pipeline(&live_fs);
     assert_eq!(recovered.num_granules(), live.num_granules());
     assert_eq!(recovered.pending_instants(), live.pending_instants());
     assert_eq!(recovered.checkpoint_meta(), live.checkpoint_meta());
@@ -194,8 +263,8 @@ fn a_version_1_pipeline_snapshot_and_wal_recover_exactly() {
     // snapshot of the live state.
     recovered.snapshot_to(&snap).unwrap();
     let next = std::fs::read(&snap).unwrap();
-    let mut fresh = Vec::new();
-    live.snapshot_to_writer(&mut fresh).unwrap();
+    live.snapshot_to("golden.snap").unwrap();
+    let fresh = live_fs.peek(Path::new("golden.snap")).unwrap();
     assert_eq!(version_of(&next), snapshot::SNAPSHOT_VERSION);
     assert_eq!(next, fresh);
 
@@ -212,8 +281,13 @@ fn a_version_1_pipeline_snapshot_and_wal_recover_exactly() {
 fn a_pipeline_header_must_match_its_embedded_miner_version() {
     let mut bytes = std::fs::read(fixture("pipeline_v1.snap")).unwrap();
     bytes[8..12].copy_from_slice(&snapshot::SNAPSHOT_VERSION.to_le_bytes());
+    let fs = FaultyFs::new();
+    let mut file = fs.create("test.setup", Path::new("p.snap")).unwrap();
+    file.write_all("test.setup", &bytes).unwrap();
+    let mut pipeline = stream_pipeline();
+    pipeline.set_storage(fs);
     assert!(matches!(
-        stream_pipeline().restore_from(&mut &bytes[..]),
+        pipeline.recover(Some(Path::new("p.snap")), Path::new("p.wal")),
         Err(PipelineError::Persistence(
             freqstpfts::core::Error::SnapshotCorrupt { .. }
         ))

@@ -11,12 +11,39 @@ use freqstpfts::core::canonical_result_set as canonical;
 use freqstpfts::core::snapshot;
 use freqstpfts::datagen::SeededRng;
 use freqstpfts::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn snapshot_bytes(miner: &mut StreamingMiner) -> Vec<u8> {
     let mut bytes = Vec::new();
     miner.snapshot(&mut bytes).unwrap();
     bytes
+}
+
+/// Where [`pipeline_snapshot`] and [`restore`] keep their in-memory files.
+const SNAP: &str = "state.snap";
+const WAL: &str = "state.wal";
+
+/// The bytes `snapshot_to` writes for a pipeline without a WAL, read back
+/// from an in-memory filesystem.
+fn pipeline_snapshot(pipeline: &mut StreamingPipeline) -> Vec<u8> {
+    let fs = FaultyFs::new();
+    pipeline.set_storage(fs.clone());
+    pipeline.snapshot_to(SNAP).unwrap();
+    fs.peek(Path::new(SNAP)).unwrap()
+}
+
+/// Recovers `pipeline` from a snapshot holding `bytes` (and no WAL) on an
+/// in-memory filesystem.
+fn restore(
+    pipeline: &mut StreamingPipeline,
+    bytes: &[u8],
+) -> Result<RecoveryReport, PipelineError> {
+    let fs = FaultyFs::new();
+    let mut file = fs.create("test.setup", Path::new(SNAP)).unwrap();
+    file.write_all("test.setup", bytes).unwrap();
+    drop(file);
+    pipeline.set_storage(fs);
+    pipeline.recover(Some(Path::new(SNAP)), Path::new(WAL))
 }
 
 /// A fresh scratch directory under the system temp dir, wiped on entry so
@@ -171,13 +198,12 @@ fn pipeline_snapshot_round_trips_and_resumes_exactly() {
     let mut original = stream_builder().into_streaming();
     original.append(&chunk(&series, 0, 45)).unwrap();
 
-    let mut bytes = Vec::new();
-    original.snapshot_to_writer(&mut bytes).unwrap();
+    let bytes = pipeline_snapshot(&mut original);
     assert_eq!(original.pending_granules(), 0);
     assert_eq!(original.checkpoint_meta().checkpoint_id, 1);
 
     let mut resumed = stream_builder().into_streaming();
-    resumed.restore_from(&mut &bytes[..]).unwrap();
+    restore(&mut resumed, &bytes).unwrap();
     assert_eq!(resumed.num_granules(), original.num_granules());
     assert_eq!(resumed.dseq().unwrap(), original.dseq().unwrap());
     assert_eq!(resumed.checkpoint_meta(), original.checkpoint_meta());
@@ -195,10 +221,9 @@ fn pipeline_snapshot_round_trips_and_resumes_exactly() {
 #[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn empty_pipeline_snapshot_round_trips() {
     let mut empty = stream_builder().into_streaming();
-    let mut bytes = Vec::new();
-    empty.snapshot_to_writer(&mut bytes).unwrap();
+    let bytes = pipeline_snapshot(&mut empty);
     let mut restored = stream_builder().into_streaming();
-    restored.restore_from(&mut &bytes[..]).unwrap();
+    restore(&mut restored, &bytes).unwrap();
     assert_eq!(restored.num_granules(), 0);
     assert_eq!(restored.checkpoint_meta().granules_absorbed, 0);
     let series = sample_series(9);
@@ -399,7 +424,7 @@ fn snapshot_to_leaves_no_temp_file_and_truncates_the_wal() {
     );
     let mut restored = stream_builder().into_streaming();
     restored
-        .restore_from(&mut std::fs::File::open(&snap_path).unwrap())
+        .recover(Some(&snap_path), &dir.join("restored.wal"))
         .unwrap();
     assert_eq!(restored.num_granules(), 10);
     let _ = std::fs::remove_dir_all(&dir);
@@ -434,14 +459,17 @@ fn every_pipeline_snapshot_truncation_is_a_typed_error() {
     let series = sample_series(45);
     let mut original = stream_builder().into_streaming();
     original.append(&chunk(&series, 0, 45)).unwrap();
-    let mut bytes = Vec::new();
-    original.snapshot_to_writer(&mut bytes).unwrap();
+    let bytes = pipeline_snapshot(&mut original);
 
-    for len in 0..bytes.len() {
+    // An empty file is what a crash leaves before the first byte of a
+    // non-atomic copy, so recovery starts empty from it; every other
+    // truncation is an error.
+    let mut target = stream_builder().into_streaming();
+    assert_eq!(restore(&mut target, &[]).unwrap().restored_granules, 0);
+    for len in 1..bytes.len() {
         let mut target = stream_builder().into_streaming();
-        let err = target
-            .restore_from(&mut &bytes[..len])
-            .expect_err("truncated snapshot must not restore");
+        let err =
+            restore(&mut target, &bytes[..len]).expect_err("truncated snapshot must not restore");
         assert!(
             matches!(err, PipelineError::Persistence(_)),
             "truncation to {len} bytes produced {err:?}"
@@ -455,8 +483,7 @@ fn random_bit_flips_in_a_pipeline_snapshot_never_panic() {
     let series = sample_series(45);
     let mut original = stream_builder().into_streaming();
     original.append(&chunk(&series, 0, 45)).unwrap();
-    let mut bytes = Vec::new();
-    original.snapshot_to_writer(&mut bytes).unwrap();
+    let bytes = pipeline_snapshot(&mut original);
 
     let mut rng = SeededRng::seed_from_u64(77);
     for flip in 0..300 {
@@ -465,7 +492,7 @@ fn random_bit_flips_in_a_pipeline_snapshot_never_panic() {
         let mut corrupt = bytes.clone();
         corrupt[offset] ^= 1 << bit;
         let mut target = stream_builder().into_streaming();
-        let result = target.restore_from(&mut &corrupt[..]);
+        let result = restore(&mut target, &corrupt);
         assert!(
             result.is_err(),
             "flip {flip}: bit {bit} of byte {offset} went undetected"
@@ -510,8 +537,7 @@ fn config_mismatches_surface_as_typed_errors() {
     let series = sample_series(45);
     let mut original = stream_builder().into_streaming();
     original.append(&chunk(&series, 0, 45)).unwrap();
-    let mut bytes = Vec::new();
-    original.snapshot_to_writer(&mut bytes).unwrap();
+    let bytes = pipeline_snapshot(&mut original);
 
     // A different mapping factor re-shapes every granule: rejected.
     let mut other_m = Pipeline::builder()
@@ -526,7 +552,7 @@ fn config_mismatches_surface_as_typed_errors() {
             ..StpmConfig::default()
         })
         .into_streaming();
-    let err = other_m.restore_from(&mut &bytes[..]).unwrap_err();
+    let err = restore(&mut other_m, &bytes).unwrap_err();
     assert!(matches!(
         err,
         PipelineError::Persistence(freqstpfts::core::Error::SnapshotConfigMismatch {
@@ -550,7 +576,7 @@ fn config_mismatches_surface_as_typed_errors() {
         .mapping_factor(3)
         .thresholds(config)
         .into_streaming();
-    let err = other_eps.restore_from(&mut &bytes[..]).unwrap_err();
+    let err = restore(&mut other_eps, &bytes).unwrap_err();
     assert!(matches!(
         err,
         PipelineError::Persistence(freqstpfts::core::Error::SnapshotConfigMismatch {
@@ -657,12 +683,11 @@ fn future_format_versions_are_rejected_with_the_version_error() {
     let series = sample_series(45);
     let mut original = stream_builder().into_streaming();
     original.append(&chunk(&series, 0, 45)).unwrap();
-    let mut bytes = Vec::new();
-    original.snapshot_to_writer(&mut bytes).unwrap();
+    let mut bytes = pipeline_snapshot(&mut original);
     bytes[8..12].copy_from_slice(&2025u32.to_le_bytes());
     let mut target = stream_builder().into_streaming();
     assert!(matches!(
-        target.restore_from(&mut &bytes[..]),
+        restore(&mut target, &bytes),
         Err(PipelineError::Persistence(
             freqstpfts::core::Error::SnapshotVersion { found: 2025, .. }
         ))
@@ -674,4 +699,54 @@ fn future_format_versions_are_rejected_with_the_version_error() {
         snapshot::wal_read(&wal),
         Err(freqstpfts::core::Error::SnapshotVersion { found: 2025, .. })
     ));
+}
+
+/// One series over an alphabet of `labels` labels, using the first two.
+fn wide_batch(labels: usize) -> SymbolicDatabase {
+    let alphabet = Alphabet::new((0..labels).map(|i| format!("s{i}")).collect()).unwrap();
+    let symbols = [0, 1, 1, 0, 1, 1]
+        .map(freqstpfts::timeseries::SymbolId)
+        .to_vec();
+    SymbolicDatabase::new(vec![SymbolicSeries::new("Wide".into(), symbols, alphabet)]).unwrap()
+}
+
+#[test]
+fn alphabets_past_the_u16_symbol_space_are_refused_before_they_are_logged() {
+    let fs = FaultyFs::new();
+    let wal = Path::new("wide/state.wal");
+    let mut stream = stream_builder().into_streaming();
+    stream.set_storage(fs.clone());
+    stream.attach_wal(wal).unwrap();
+
+    // 65 536 labels is the whole u16 symbol space: logged and replayed.
+    stream.append_symbolic(&wide_batch(1 << 16)).unwrap();
+    let logged = fs.peek(wal).unwrap();
+    drop(stream);
+    fs.crash();
+    let mut recovered = stream_builder().into_streaming();
+    recovered.set_storage(fs.clone());
+    let report = recovered.recover(None, wal).unwrap();
+    assert_eq!(report.replayed_records, 1);
+    assert_eq!(recovered.num_granules(), 2);
+    assert_eq!(
+        recovered.dsyb().unwrap().series()[0].alphabet().len(),
+        1 << 16
+    );
+
+    // One more label could be logged but never decoded again: refused
+    // before it is absorbed, and nothing reaches the log.
+    let appends = fs.op_count(failpoints::WAL_APPEND);
+    let err = recovered
+        .append_symbolic(&wide_batch((1 << 16) + 1))
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PipelineError::Transform(freqstpfts::timeseries::Error::InvalidAlphabet { .. })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(fs.op_count(failpoints::WAL_APPEND), appends);
+    assert_eq!(fs.peek(wal).unwrap(), logged);
+    assert_eq!(recovered.num_granules(), 2);
 }
