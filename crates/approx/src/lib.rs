@@ -8,8 +8,11 @@
 //! threshold μ that is derived — through the Lambert-W lower bound of
 //! Theorem 1 — from the seasonality thresholds `minSeason` and `minDensity`.
 //! Only correlated series are handed to the exact miner, which makes A-STPM
-//! up to an order of magnitude faster and leaner on large databases while
-//! keeping accuracy high.
+//! up to an order of magnitude faster and leaner on large databases, at a
+//! cost in recall: on the repository benchmark's `batch-mine` workload
+//! (renewable-energy surrogate, 16 series × 720 granules, `maxPatternLen` 3)
+//! A-STPM finds 15.6 % of E-STPM's patterns (`result_quality_pct`
+//! 15.56–15.68 % over three benchmark checks).
 //!
 //! The crate provides:
 //!

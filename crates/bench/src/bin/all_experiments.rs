@@ -67,26 +67,4 @@ fn main() {
     for t in ablation::run(&all, &s) {
         t.print();
     }
-    println!("### Thread scaling (sharded level mining) ###");
-    for t in threads::tables(&threads::collect(&all, &s)) {
-        t.print();
-    }
-    println!("### Single-threaded scaling (events / granules axes) ###");
-    for t in scaling::tables(&scaling::collect(DatasetProfile::RenewableEnergy, &s)) {
-        t.print();
-    }
-    println!("### Streaming append vs full re-mine ###");
-    streaming::table(
-        DatasetProfile::RenewableEnergy,
-        &streaming::collect(DatasetProfile::RenewableEnergy, &s),
-    )
-    .print();
-    println!("### Recovery from snapshot vs full re-mine ###");
-    recovery::table(
-        DatasetProfile::RenewableEnergy,
-        &recovery::collect(DatasetProfile::RenewableEnergy, &s),
-    )
-    .print();
-    println!("### Service tier under memory pressure + transient faults ###");
-    service::table(&service::collect(&s)).print();
 }

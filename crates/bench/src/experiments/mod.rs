@@ -9,13 +9,8 @@ pub mod epsilon;
 pub mod pattern_counts;
 pub mod pruning_ratio;
 pub mod qualitative;
-pub mod recovery;
 pub mod runtime_memory;
 pub mod scalability;
-pub mod scaling;
-pub mod service;
-pub mod streaming;
-pub mod threads;
 
 use crate::params::scaled_dist_interval;
 use stpm_core::{MiningInput, StpmConfig, Threshold};

@@ -17,11 +17,19 @@
 //! * **APS-growth** — the adapted PS-growth baseline (`stpm-baseline`).
 //!
 //! Because the original testbed (32-core EPYC, 512 GB RAM) and the raw
-//! datasets are unavailable, the harness defaults to laptop-scale slices of
-//! the Table V workloads; set the environment variable `STPM_BENCH_SCALE`
-//! (a value in `(0, 1]`, default `0.2`) to grow them towards the paper's
-//! sizes. Relative results — who wins and by roughly what factor — are the
-//! quantities `EXPERIMENTS.md` tracks.
+//! datasets are unavailable, the harness mines seeded surrogates of the
+//! Table V workloads. The real-dataset surrogates default to the Table V
+//! sizes; the environment variable `STPM_BENCH_SCALE` (a value in `(0, 1]`,
+//! default `1.0`) shrinks them. The synthetic ones are the paper's sizes
+//! divided by `STPM_BENCH_SYN_DIVISOR` (default 100). Relative results —
+//! who wins and by roughly what factor — are the quantities the harness
+//! tracks; the README's "Reproducing the evaluation" section shows how to
+//! run it.
+//!
+//! This crate reproduces the paper's engine comparisons. Runtime and memory
+//! of the paths the repository deploys (batch mining, durable stream
+//! ingest, the multi-tenant service) are measured by the repository
+//! benchmark in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

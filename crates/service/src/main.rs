@@ -117,9 +117,46 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
             "--default-deadline-ms" => {
                 config.default_deadline = Some(Duration::from_millis(v));
             }
-            "--mapping-factor" => config.mapping_factor = v,
+            "--mapping-factor" => {
+                // Refused here, not per tenant: every tenant's first append
+                // would otherwise fail and be quarantined for it.
+                if v == 0 {
+                    return Err("--mapping-factor must be at least 1".to_string());
+                }
+                config.mapping_factor = v;
+            }
             _ => unreachable!("validated above"),
         }
     }
     Ok((config, listen))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_string()).collect()
+    }
+
+    #[test]
+    fn a_zero_mapping_factor_is_a_usage_error() {
+        let err = parse_args(&args(&["--data-dir", "d", "--mapping-factor", "0"]))
+            .expect_err("m = 0 is refused");
+        assert!(err.contains("--mapping-factor"), "{err}");
+    }
+
+    #[test]
+    fn a_mapping_factor_of_one_is_accepted() {
+        let (config, listen) = parse_args(&args(&["--data-dir", "d", "--mapping-factor", "1"]))
+            .expect("m = 1 is valid");
+        assert_eq!(config.mapping_factor, 1);
+        assert_eq!(listen, "127.0.0.1:7171");
+    }
+
+    #[test]
+    fn the_data_dir_is_required() {
+        let err = parse_args(&args(&["--mapping-factor", "1"])).expect_err("no --data-dir");
+        assert_eq!(err, "--data-dir is required");
+    }
 }

@@ -1,10 +1,14 @@
 //! Functional tests of the service tier: admission control and typed
 //! backpressure, deadlines, quarantine isolation, eviction/rehydration
-//! identity, failed-eviction liveness, graceful drain, and the TCP front end.
+//! identity, failed-eviction liveness, graceful drain, the TCP front end, and
+//! a budget-starved fleet under transient I/O faults.
 
+use std::collections::{HashSet, VecDeque};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
-use stpm_core::{failpoints, FaultyFs, MemoryBudget};
+use stpm_core::{failpoints, FaultyFs, MemoryBudget, RetryPolicy, StpmConfig, Threshold};
+use stpm_datagen::{service_load, TenantLoadSpec};
 use stpm_service::{
     serve, Client, OverloadScope, Request, Response, Service, ServiceConfig, ServiceError,
 };
@@ -445,4 +449,118 @@ fn drain_returns_while_an_idle_client_stays_connected() {
         "a drained daemon restarts from a clean snapshot"
     );
     revived.kill();
+}
+
+/// A fleet far larger than its memory budget, with transient I/O faults
+/// armed on the WAL append path, still acknowledges every append exactly
+/// once, stays under budget and mines exactly what a direct pipeline mines:
+/// the retry path and the evict/rehydrate path run together here.
+#[test]
+fn a_starved_and_faulted_fleet_acks_everything_and_mines_exactly() {
+    let mut spec = TenantLoadSpec::quick(50, 0x5e2_71ce);
+    spec.max_granules = 48;
+    spec.min_granules = 8;
+    spec.num_series = 2;
+    spec.batch_granules = 8;
+    let load = service_load(&spec);
+    assert_eq!(load.arrivals.len(), 105);
+
+    let mut cfg = ServiceConfig::new("fleet");
+    cfg.mapping_factor = load.tenants[0].dataset.mapping_factor;
+    cfg.thresholds = StpmConfig {
+        max_period: Threshold::Absolute(3),
+        min_density: Threshold::Absolute(2),
+        dist_interval: (2, 40),
+        min_season: 1,
+        max_pattern_len: 2,
+        ..StpmConfig::default()
+    };
+    cfg.workers = 4;
+    cfg.memory_budget = Some(MemoryBudget::bytes(load.tenants.len() as u64 * 2048));
+    cfg.retry = RetryPolicy::immediate(4);
+    let fs = FaultyFs::with_seed(0xBEEF);
+    // WAL appends happen on every acknowledged batch, so these faults bite
+    // however eviction persists a tenant.
+    let wal_faults = 5_u64;
+    for i in 1..=wal_faults {
+        fs.transient_nth(failpoints::WAL_APPEND, i * 20, 1);
+        fs.transient_nth(failpoints::SNAPSHOT_WRITE, i * 61, 1);
+    }
+    let service = Service::start_with_storage(cfg.clone(), Arc::new(fs));
+
+    // Closed loop: up to 64 requests in flight, at most one per tenant so
+    // per-tenant order holds; a rejected append is resubmitted.
+    type InFlight = (usize, usize, Receiver<Response>, u32);
+    let submit = |tenant: usize, batch: usize, attempts: u32| -> InFlight {
+        let rx = service.submit(Request::Append {
+            tenant: load.tenants[tenant].name.clone(),
+            deadline_ms: 0,
+            batch: load.tenants[tenant].batches[batch].clone(),
+        });
+        (tenant, batch, rx, attempts)
+    };
+    let mut pending = VecDeque::new();
+    let mut busy = HashSet::new();
+    let drain_one = |pending: &mut VecDeque<InFlight>, busy: &mut HashSet<usize>| {
+        let (tenant, batch, rx, attempts) = pending.pop_front().expect("work in flight");
+        match rx.recv().expect("the service answers every request") {
+            Response::Appended { .. } => {
+                busy.remove(&tenant);
+            }
+            Response::Error(_) => {
+                assert!(attempts < 64, "tenant {tenant} batch {batch} never acked");
+                pending.push_back(submit(tenant, batch, attempts + 1));
+            }
+            other => panic!("unexpected append response: {other:?}"),
+        }
+    };
+    for &(tenant, batch) in &load.arrivals {
+        while busy.contains(&tenant) || pending.len() >= 64 {
+            drain_one(&mut pending, &mut busy);
+        }
+        busy.insert(tenant);
+        pending.push_back(submit(tenant, batch, 1));
+    }
+    while !pending.is_empty() {
+        drain_one(&mut pending, &mut busy);
+    }
+
+    let stats = service.stats();
+    assert_eq!(
+        stats.acked_appends, 105,
+        "every batch is acked exactly once"
+    );
+    assert!(stats.evictions > 0, "the budget never forced an eviction");
+    assert!(stats.rehydrations > 0, "no cold tenant was ever rehydrated");
+    assert!(
+        stats.io_retries >= wal_faults,
+        "only {} retries absorbed {wal_faults} WAL faults",
+        stats.io_retries
+    );
+    assert!(
+        stats.resident_bytes <= stats.budget_bytes,
+        "{} resident bytes over a {}-byte budget",
+        stats.resident_bytes,
+        stats.budget_bytes
+    );
+
+    // The heaviest tenant made the most eviction round trips.
+    let heaviest = &load.tenants[0];
+    let mut direct = freqstpfts::Pipeline::builder()
+        .mapping_factor(cfg.mapping_factor)
+        .thresholds(cfg.thresholds.clone())
+        .into_streaming();
+    for batch in &heaviest.batches {
+        direct
+            .append_symbolic(batch)
+            .expect("the direct pipeline absorbs");
+    }
+    let direct_patterns: Vec<String> = direct
+        .checkpoint()
+        .expect("the direct pipeline mines")
+        .pattern_set()
+        .into_iter()
+        .collect();
+    assert_eq!(patterns_of(&service, &heaviest.name), direct_patterns);
+    service.kill();
 }

@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# Chaos gate: the deterministic fault-injection sweep. Crashes the
-# persistence stack at every registered failpoint and requires recovery to
-# be byte-identical with zero acknowledged-granule loss, plus the
-# torn-tail, failed-WAL-append, lying-fsync, transient-retry and
-# failed-snapshot scenarios and the check that the suite reaches every
-# registered failpoint.
+# Chaos gate: the deterministic fault-injection sweeps, both in release.
+#
+# 1. `chaos_recovery` crashes the persistence stack at every registered
+#    failpoint and requires recovery to be byte-identical with zero
+#    acknowledged-granule loss, plus the torn-tail, failed-WAL-append,
+#    lying-fsync, transient-retry and failed-snapshot scenarios and the
+#    check that the suite reaches every registered failpoint.
+# 2. `stpm-service`'s `service_chaos` drives a multi-tenant workload under a
+#    starved memory budget with hard daemon kills and injected faults at
+#    every failpoint, and requires every tenant's final pattern set and
+#    granule count to match the fault-free run with zero acked-append loss.
 #
 # CI's analysis job executes this exact script, so a local
 # `scripts/ci_chaos.sh` reproduces the chaos gate bit for bit. Everything
@@ -14,5 +19,8 @@ cd "$(dirname "$0")/.."
 
 echo "== chaos recovery sweep (fault injection at every failpoint) =="
 cargo test --release -q --test chaos_recovery
+
+echo "== service chaos sweep (hard kills + faults at every failpoint) =="
+cargo test --release -q -p stpm-service --test service_chaos
 
 echo "chaos gate: recovery is byte-identical at every failpoint"
