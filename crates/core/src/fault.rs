@@ -1044,7 +1044,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "touches the real filesystem")]
     fn real_fs_round_trips_through_the_trait() {
         let dir = std::env::temp_dir().join("stpm_fault_realfs_test");
         let _ = std::fs::remove_dir_all(&dir);

@@ -61,7 +61,7 @@
 //! feature, which also enforce the one-stretch-per-group contract as it is
 //! used). The per-occurrence entry points (`instances_at_index`,
 //! `binding_ids_at`, `push_verdict`, `add_pattern_occurrence`, the cursor
-//! seeks, …) are marked `// lint: hot-path`: the project lint pass rejects
+//! seeks, …) are marked `// lint: hot-path`: `stpm-lint` rejects
 //! any allocating construct added to them, keeping occurrence inserts
 //! bump-appends and granule reads two offset lookups.
 
@@ -190,7 +190,7 @@ impl Hlh1 {
         if candidates_only {
             events.retain(|_, entry| config.is_candidate(entry.support.len()));
         }
-        // lint:allow(determinism): collected labels are sorted on the next line
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut labels: Vec<EventLabel> = events.keys().copied().collect();
         labels.sort_unstable();
         Self { events, labels }
@@ -237,11 +237,12 @@ impl Hlh1 {
     /// Approximate heap footprint in bytes (reported by the memory
     /// experiments of Figures 9/10/19/20).
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "summing is order-insensitive")]
     pub fn footprint_bytes(&self) -> usize {
         self.labels.len() * std::mem::size_of::<EventLabel>()
             + self
                 .events
-                .values() // lint:allow(determinism): commutative sum, order-insensitive
+                .values()
                 .map(|entry| {
                     std::mem::size_of::<EventLabel>()
                         + std::mem::size_of::<EventEntry>()
@@ -519,6 +520,11 @@ impl VerdictTable {
         let pair_offset = u32::try_from(self.pair_starts.len()).expect("pair count fits u32");
         let granule_offset = u32::try_from(self.granules.len()).expect("granule slots fit u32");
         let verdict_offset = u32::try_from(self.verdicts.len()).expect("verdict bytes fit u32");
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "moves keys between hash maps: shards never share a key, so \
+                      the merged map holds the same entries in any visit order"
+        )]
         for (key, slot) in shard.pair_index {
             let previous = self.pair_index.insert(key, slot + pair_offset);
             assert!(previous.is_none(), "verdict pair produced by two shards");
@@ -966,6 +972,11 @@ impl HlhK {
             let group_offset = u32::try_from(merged.groups.len()).expect("groups fit u32");
             let binding_offset =
                 u32::try_from(merged.pool.len() / k.max(1)).expect("bindings fit u32");
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "moves keys between hash maps: shards never share a key, so \
+                          the merged map holds the same entries in any visit order"
+            )]
             for (key, id) in shard.group_index {
                 let previous = merged.group_index.insert(key, GroupId(id.0 + group_offset));
                 assert!(previous.is_none(), "group produced by two shards");
@@ -1205,7 +1216,11 @@ impl VerdictTable {
             self.pair_starts.len()
         );
         let mut seen = vec![false; self.pair_starts.len()];
-        // lint:allow(determinism): order-insensitive validation conjunction
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "validation: whether any entry breaks an invariant does not depend on visit order"
+        )]
         for &slot in self.pair_index.values() {
             invariant!(
                 S,
@@ -1312,7 +1327,10 @@ impl HlhK {
             self.groups.len()
         );
         let mut seen = vec![false; self.groups.len()];
-        // lint:allow(determinism): order-insensitive validation conjunction
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "validation: whether any entry breaks an invariant does not depend on visit order"
+        )]
         for (key, &id) in &self.group_index {
             let Some(group) = self.groups.get(id.0 as usize) else {
                 return Err(InvariantViolation::new(

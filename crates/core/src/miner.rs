@@ -77,8 +77,9 @@
 //! the tail, and the season walk over them is resumable
 //! ([`SeasonTracker`](crate::season::SeasonTracker)). The streaming engine's
 //! checkpoints are exact w.r.t. a batch re-mine of the same prefix — the
-//! batch miner is both the reference implementation and the
-//! re-mine contender the streaming benchmarks compare against.
+//! batch miner is the reference implementation that
+//! `crates/bench/tests/quick_scale_counts.rs` and
+//! `tests/streaming_equivalence.rs` compare every checkpoint against.
 
 use crate::config::{ResolvedConfig, StpmConfig};
 use crate::engine::{phases, EngineReport, MiningEngine, MiningInput, PhaseTiming, PruningSummary};
@@ -212,10 +213,12 @@ impl ExactRun<'_> {
     /// Runs the full mining process and returns every frequent seasonal
     /// single event and temporal pattern.
     fn mine(&self) -> MiningReport {
+        #[expect(clippy::disallowed_methods, reason = "timing only; never serialized")]
         let total_start = Instant::now();
         let apriori = self.config.pruning.apriori_enabled();
 
         // -------- Step 2.1: frequent seasonal single events --------
+        #[expect(clippy::disallowed_methods, reason = "timing only; never serialized")]
         let single_start = Instant::now();
         let hlh1 = Hlh1::build(self.dseq, &self.config, apriori);
         crate::invariants::debug_validate!(hlh1.validate());
@@ -238,6 +241,7 @@ impl ExactRun<'_> {
         // Only HLH_2 (transitivity lookups) and HLH_{k-1} (bindings to
         // extend) are ever read again, so only those stay alive; the peak
         // footprint tracks the live structures of each level.
+        #[expect(clippy::disallowed_methods, reason = "timing only; never serialized")]
         let pattern_start = Instant::now();
         let f1: &[EventLabel] = hlh1.labels();
         let hlh1_footprint = hlh1.footprint_bytes();

@@ -108,13 +108,26 @@
 //!   version, a tag or a field encoding fails them. A deliberate change
 //!   bumps [`SNAPSHOT_VERSION`] or [`WAL_VERSION`], keeps the previous
 //!   version readable, and replaces the golden file.
-//! * **`no-panic-decode`**, a rule of the project lint pass
-//!   (`cargo run -p stpm-lint`) — every decode-path function in this module
-//!   (`take_*`, `parse_*`, `read_*`, `decode_*`, [`wal_read`], the restore
-//!   entry points) must stay free of `unwrap`/`expect`/panicking macros and
-//!   raw slice indexing, so arbitrary input bytes can only ever produce a
-//!   typed [`Error::SnapshotCorrupt`], never a panic. [`ByteReader`]'s
-//!   bounds-checked cursor is the only way decode code touches the buffer.
+//! * **No panicking decode path.** The module denies clippy's
+//!   `indexing_slicing`, `unwrap_used`, `expect_used`, `panic`,
+//!   `unreachable`, `todo`, `unimplemented` and `disallowed_macros` (the
+//!   `assert!` family, listed in the crate's `clippy.toml`), so arbitrary
+//!   input bytes can only ever produce a typed [`Error::SnapshotCorrupt`],
+//!   never a panic. [`ByteReader`]'s bounds-checked cursor is the only way
+//!   decode code touches the buffer. The few sites that cannot panic (the
+//!   CRC tables, encoders of in-memory state) carry an `#[expect]` with
+//!   the reason.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_macros
+)]
 
 use crate::config::{PruningMode, StpmConfig, Threshold};
 use crate::error::{Error, Result};
@@ -162,6 +175,10 @@ const SEC_MINER: u32 = 0x12;
 // Slicing-by-8 tables: `TABLES[0]` is the classic byte-at-a-time table,
 // `TABLES[t][i]` advances the CRC of byte `i` by `t` further zero bytes, so
 // eight input bytes fold into the state with eight independent lookups.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const evaluation: `i < 256` and `t < 8` bound every index"
+)]
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -200,6 +217,11 @@ static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 /// snapshots grow to megabytes; the result is bit-identical to the
 /// byte-at-a-time definition.
 #[must_use]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`chunks_exact(8)` yields 8-byte chunks, and every table index \
+              is masked to 0..=255 or shifted down to 8 bits"
+)]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
@@ -283,6 +305,7 @@ impl ByteWriter {
     }
 
     /// Appends a length-prefixed UTF-8 string (`u32` byte length + bytes).
+    #[expect(clippy::expect_used, reason = "encoder, not a decode path")]
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(u32::try_from(s.len()).expect("string fits u32"));
         self.buf.extend_from_slice(s.as_bytes());
@@ -673,6 +696,7 @@ fn decode_config(payload: &[u8]) -> Result<StpmConfig> {
     Ok(config)
 }
 
+#[expect(clippy::expect_used, reason = "encoder, not a decode path")]
 fn encode_registry(registry: &EventRegistry) -> Vec<u8> {
     let mut w = ByteWriter::new();
     let num_series = u32::try_from(registry.num_series()).expect("series count fits u32");
@@ -878,9 +902,10 @@ fn read_tracker(r: &mut ByteReader<'_>, ints: Ints, support_len: u32) -> Result<
 fn encode_events(miner: &StreamingMiner) -> Vec<u8> {
     // The event map iterates in hash order; sort by packed label so snapshot
     // bytes are a pure function of the state.
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is written")]
     let mut entries: Vec<(u64, &StreamEventEntry)> = miner
         .events
-        .iter() // lint:allow(determinism): sorted by packed label two lines down before any byte is written
+        .iter()
         .map(|(label, entry)| (label.packed(), entry))
         .collect();
     entries.sort_unstable_by_key(|&(packed, _)| packed);
@@ -1167,7 +1192,11 @@ fn decode_miner(bytes: &[u8], requested: Option<&StpmConfig>) -> Result<Streamin
             || old.dist_min != new.dist_min
             || old.dist_max != new.dist_max;
         if seasonal_changed {
-            // lint:allow(determinism): per-entry rebuild is independent of visit order
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::iter_over_hash_type,
+                reason = "each entry is rebuilt on its own; visit order is unobservable"
+            )]
             for entry in miner.events.values_mut() {
                 entry.tracker = SeasonTracker::rebuild(&entry.support, &new);
             }
@@ -1311,6 +1340,7 @@ impl StreamingMiner {
 /// # Panics
 /// When `db` holds more than `u32::MAX` series, or a series has more than
 /// `u32::MAX` labels.
+#[expect(clippy::expect_used, reason = "encoder, not a decode path")]
 pub fn write_symbolic_database(w: &mut ByteWriter, db: &SymbolicDatabase) {
     w.put_u32(u32::try_from(db.num_series()).expect("series count fits u32"));
     for series in db.series() {
@@ -1597,6 +1627,13 @@ pub fn wal_read(bytes: &[u8]) -> Result<WalContents> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros
+)]
 mod tests {
     use super::*;
     use stpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};

@@ -133,10 +133,11 @@ impl StreamLevel {
                     + e.tracker.footprint_bytes()
             })
             .sum();
+        #[expect(clippy::disallowed_methods, reason = "summing is order-insensitive")]
         let index_bytes: usize = self
             .index
-            .keys() // lint:allow(determinism): commutative sum, order-insensitive
-            .chain(self.groups.iter()) // lint:allow(determinism): same commutative sum
+            .keys()
+            .chain(self.groups.iter())
             .map(|key| key.len() * std::mem::size_of::<u64>())
             .sum();
         entry_bytes + index_bytes
@@ -490,9 +491,10 @@ impl StreamingMiner {
     }
 
     /// The events' share of [`StreamingMiner::footprint_bytes`].
+    #[expect(clippy::disallowed_methods, reason = "summing is order-insensitive")]
     fn event_footprint_bytes(&self) -> usize {
         self.events
-            .values() // lint:allow(determinism): commutative sum, order-insensitive
+            .values()
             .map(|e| {
                 std::mem::size_of::<EventLabel>()
                     + e.support.len() * std::mem::size_of::<GranulePos>()
@@ -514,7 +516,11 @@ impl StreamingMiner {
                 || old.dist_min != resolved.dist_min
                 || old.dist_max != resolved.dist_max;
             if seasonal_changed {
-                // lint:allow(determinism): per-entry rebuild is independent of visit order
+                #[expect(
+                    clippy::disallowed_methods,
+                    clippy::iter_over_hash_type,
+                    reason = "each entry is rebuilt on its own; visit order is unobservable"
+                )]
                 for entry in self.events.values_mut() {
                     entry.tracker = SeasonTracker::rebuild(&entry.support, &resolved);
                 }
@@ -595,6 +601,7 @@ impl StreamingMiner {
         if batch.is_empty() {
             return Ok(());
         }
+        #[expect(clippy::disallowed_methods, reason = "timing only; never serialized")]
         let start = Instant::now();
         let resolved = self.sync_resolved(self.num_granules + batch.len() as u64)?;
         let harvests = Self::mine_batch(batch, &resolved);
@@ -673,9 +680,10 @@ impl StreamingMiner {
     pub fn checkpoint(&self) -> Result<EngineReport> {
         crate::invariants::debug_validate!(self.validate());
         let resolved = self.resolved.ok_or(Error::EmptyDatabase)?;
+        #[expect(clippy::disallowed_methods, reason = "timing only; never serialized")]
         let emit_start = Instant::now();
 
-        // lint:allow(determinism): collected labels are sorted on the next line
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut labels: Vec<EventLabel> = self.events.keys().copied().collect();
         labels.sort_unstable();
         let mut candidate_events = 0usize;
@@ -776,6 +784,10 @@ impl StreamingMiner {
     ///
     /// # Errors
     /// The first [`InvariantViolation`] found, if any.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "whether any entry breaks an invariant does not depend on visit order"
+    )]
     pub fn validate(&self) -> std::result::Result<(), InvariantViolation> {
         const S: &str = "StreamingMiner";
         invariant!(
@@ -784,7 +796,6 @@ impl StreamingMiner {
             "absorbed {} granules without a resolved configuration",
             self.num_granules
         );
-        // lint:allow(determinism): validation is an order-insensitive conjunction
         for (&label, entry) in &self.events {
             self.validate_candidate(
                 S,

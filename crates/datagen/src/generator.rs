@@ -46,7 +46,8 @@ impl GeneratedDataset {
     /// batches of `batch_granules` granules each (the trailing batch may be
     /// shorter). Feeding the batches to a streaming miner in order
     /// reconstructs the dataset exactly — this is the workload of the
-    /// streaming benchmarks and the streaming/batch equivalence tests.
+    /// streaming exactness checks (`crates/bench/tests/quick_scale_counts.rs`
+    /// and `tests/streaming_equivalence.rs`).
     ///
     /// # Panics
     /// Panics when `batch_granules` is zero.

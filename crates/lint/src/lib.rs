@@ -1,23 +1,20 @@
 //! # stpm-lint
 //!
-//! Project-invariant static analysis for the FreqSTPfTS workspace.
+//! The hot-path allocation check for the FreqSTPfTS workspace.
 //!
-//! Four load-bearing contracts hold this codebase together: parallel
-//! mining must stay byte-identical to sequential, the intersection/verdict/
-//! season kernels must stay allocation-free on the hot path, every
-//! snapshot/WAL decode path must surface corruption as a typed error
-//! instead of panicking, and the persistence layer must sync writes before
-//! publishing or acknowledging them. `stpm-lint` machine-checks those
-//! contracts as named, suppressible rules over every `crates/**/src/*.rs`
-//! file (`unsafe` code needs no rule: the workspace lints set
-//! `unsafe_code = "forbid"`, so rustc rejects it):
+//! The intersection/verdict/season kernels must stay allocation-free on
+//! the hot path. No compiler lint knows which functions are hot, so
+//! `stpm-lint` checks one named, suppressible rule over every
+//! `crates/**/src/*.rs` file and the facade's `src/`:
 //!
 //! | rule | what it enforces |
 //! |------|------------------|
 //! | `hot-path-alloc` | no allocating constructs in `// lint: hot-path` functions |
-//! | `no-panic-decode` | no panics / raw indexing in snapshot/WAL decode functions |
-//! | `determinism` | no hash-order iteration in output modules, no wall clock in wire code |
-//! | `durable-io` | fsync before rename/truncate/acknowledgment in `// lint: durable` functions |
+//!
+//! The workspace's other contracts need no lexer: clippy lints enforce
+//! panic-free decoding and deterministic output (see the README
+//! "Correctness tooling" section), the chaos tests enforce
+//! fsync-before-publish, and `unsafe_code = "forbid"` rejects `unsafe`.
 //!
 //! The workspace is dependency-free, so the analysis is built on a small
 //! hand-rolled token scanner ([`lexer`]) rather than `syn`. See [`rules`]
@@ -54,8 +51,8 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Collects every Rust source file the lint pass covers: `crates/*/src/**`
-/// plus the facade `src/**`. Integration-test directories are skipped —
-/// test code panics and indexes on purpose.
+/// plus the facade `src/**`. Integration-test directories hold no hot
+/// paths and are skipped.
 #[must_use]
 pub fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();

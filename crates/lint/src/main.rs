@@ -1,4 +1,4 @@
-//! `stpm-lint` — project-invariant static analysis for the workspace.
+//! `stpm-lint` — the workspace's hot-path allocation check.
 //!
 //! Usage:
 //!
@@ -18,10 +18,10 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--help" | "-h" => {
                 println!(
-                    "stpm-lint: project-invariant static analysis\n\n\
+                    "stpm-lint: hot-path allocation check\n\n\
                      USAGE:\n  stpm-lint\n\n\
-                     Checks every crates/**/src/*.rs file against the project rules\n\
-                     (hot-path-alloc, no-panic-decode, determinism, durable-io)."
+                     Checks every crates/**/src/*.rs file against the hot-path-alloc rule:\n\
+                     no allocation inside a function marked `// lint: hot-path`."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -47,8 +47,7 @@ fn main() -> ExitCode {
     let diags = stpm_lint::lint_workspace(&root);
     if diags.is_empty() {
         println!(
-            "stpm-lint: {} source files clean (hot-path-alloc, no-panic-decode, \
-             determinism, durable-io)",
+            "stpm-lint: {} source files clean (hot-path-alloc)",
             stpm_lint::collect_sources(&root).len()
         );
         ExitCode::SUCCESS

@@ -16,6 +16,21 @@
 //! that are shape-valid but semantically wrong for a tenant (a different
 //! series set, say) are the tenant's problem — and its quarantine, not its
 //! neighbors'.
+//!
+//! Like the snapshot decoders, this module denies every clippy lint for a
+//! panicking construct (the `assert!` family via `disallowed_macros`), so
+//! no peer bytes can panic the daemon.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_macros
+)]
 
 use crate::stats::{ServiceStats, TenantStats};
 use std::io::{self, Read, Write};
@@ -205,7 +220,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0usize;
     while filled < len_buf.len() {
-        // lint:allow(no-panic-decode): the loop guard holds filled < 4, so this range slice of the fixed header buffer cannot panic
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the loop guard holds `filled < 4`, so this slice of the \
+                      fixed header buffer cannot panic"
+        )]
         let n = r.read(&mut len_buf[filled..])?;
         if n == 0 {
             if filled == 0 {
@@ -508,6 +527,13 @@ pub fn decode_response(bytes: &[u8]) -> CoreResult<Response> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros
+)]
 mod tests {
     use super::*;
     use stpm_timeseries::{Alphabet, SymbolId, SymbolicSeries};

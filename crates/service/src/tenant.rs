@@ -215,7 +215,6 @@ impl TenantState {
     ///
     /// # Errors
     /// Typed [`ServiceError`]s as above; never a panic.
-    // lint: durable
     pub(crate) fn append(
         &mut self,
         env: &TenantEnv,
@@ -291,7 +290,6 @@ impl TenantState {
     /// The snapshot error. The pipeline is then **untouched** — a failed
     /// eviction snapshot leaves the tenant live and lossless, and the
     /// enforcer simply stays over budget until a later attempt succeeds.
-    // lint: durable
     pub(crate) fn evict(&mut self, env: &TenantEnv) -> Result<bool, ServiceError> {
         let Some(pipeline) = self.pipeline.as_mut() else {
             return Ok(false);

@@ -192,7 +192,6 @@ fn drive(
 }
 
 #[test]
-#[cfg_attr(miri, ignore = "multi-run failpoint sweep is too slow under miri")]
 fn service_survives_faults_and_hard_kills_at_every_exercised_failpoint() {
     let load = load();
     let config = config(&load);
@@ -253,7 +252,6 @@ fn service_survives_faults_and_hard_kills_at_every_exercised_failpoint() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore = "multi-run kill sweep is too slow under miri")]
 fn hard_kills_at_scripted_arrival_points_lose_nothing() {
     let load = load();
     let config = config(&load);

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Static-analysis gate: the project lint pass (stpm-lint), its fixture
-# suite, the golden-file byte checks of every wire format, the
+# Static-analysis gate: the hot-path allocation lint (stpm-lint) and its
+# fixture suite, the golden-file byte checks of every wire format, the
 # strict-invariants test run, and the core unit tests in a plain release
-# build.
+# build. Panic-free decoding and deterministic output are clippy lints
+# (CI's lint job); fsync ordering is checked by scripts/ci_chaos.sh.
 #
 # CI's analysis job executes this exact script, so a local
 # `scripts/ci_static_analysis.sh` reproduces the CI gate bit for bit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== project lint pass (stpm-lint) =="
+echo "== hot-path allocation lint (stpm-lint) =="
 cargo run --release -p stpm-lint
 
 echo "== lint fixture suite =="
@@ -31,15 +32,5 @@ cargo test --release -q --features strict-invariants
 
 echo "== plain release core unit tests (validators folded away) =="
 cargo test --release -q -p stpm-core --lib
-
-echo "== miri (curated subset) =="
-# Miri needs a nightly component; run it when available (CI's miri job
-# installs it), skip gracefully where it is not (e.g. stable-only local
-# toolchains) so the rest of the gate still applies everywhere.
-if cargo miri --version > /dev/null 2>&1; then
-  MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -p stpm-core --lib
-else
-  echo "cargo miri unavailable — skipping (CI runs it in the dedicated job)"
-fi
 
 echo "static analysis: all gates passed"

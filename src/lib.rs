@@ -583,7 +583,6 @@ impl StreamingPipeline {
     /// until a `recover` succeeds. A series whose alphabet exceeds the
     /// 65 536 ids of the `u16` symbol space is a [`PipelineError::Transform`]
     /// error, and the batch is neither absorbed nor logged.
-    // lint: durable
     pub fn append_symbolic(
         &mut self,
         batch: &SymbolicDatabase,
@@ -825,7 +824,6 @@ impl StreamingPipeline {
     /// [`checkpoint_meta`](StreamingPipeline::checkpoint_meta)) is unchanged
     /// and the WAL is left untouched, so the failed snapshot can simply be
     /// retried.
-    // lint: durable
     pub fn snapshot_to(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), PipelineError> {
         self.refuse_after_failed_recover()?;
         let io = |e: &std::io::Error| PipelineError::Persistence(stpm_core::Error::snapshot_io(e));
@@ -917,7 +915,6 @@ impl StreamingPipeline {
         Ok(())
     }
 
-    // lint: durable
     fn open_wal(&self, path: &std::path::Path) -> Result<WalHandle, PipelineError> {
         let io = |e: &std::io::Error| PipelineError::Persistence(stpm_core::Error::snapshot_io(e));
         let mut file = self

@@ -182,7 +182,6 @@ fn run_script(fs: &FaultyFs, series: &[TimeSeries]) -> (Vec<u8>, EngineReport, u
 }
 
 #[test]
-#[cfg_attr(miri, ignore = "exhaustive failpoint sweep is too slow under miri")]
 fn a_crash_at_every_failpoint_recovers_byte_identically() {
     let series = sample_series(TOTAL_SAMPLES);
     let baseline_fs = FaultyFs::with_seed(1);
@@ -262,6 +261,12 @@ fn a_torn_wal_tail_under_injected_faults_recovers_the_durable_prefix() {
     assert!(!report.wal_was_clean);
     assert_eq!(report.replayed_records, 1);
     assert_eq!(survivor.num_granules(), 6);
+    // The truncation is durable: a crash does not bring the torn record back.
+    drop(survivor);
+    fs.crash();
+    let mut survivor = stream_builder().into_streaming();
+    survivor.set_storage(fs.clone());
+    assert!(survivor.recover(None, torn_path).unwrap().wal_was_clean);
     // The truncated log accepts new appends where the tear was.
     survivor.append(&chunk(&series, 18, 36)).unwrap();
     assert_eq!(survivor.num_granules(), 12);
@@ -487,7 +492,32 @@ fn a_failed_then_retried_snapshot_leaves_exactly_one_file() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore = "runs several full scripted workloads")]
+fn a_snapshot_replaces_its_predecessor_only_once_its_bytes_are_durable() {
+    // A rename can reach the disk before the renamed file's bytes do: a
+    // journal commit, or another file's directory sync, persists it. So a
+    // snapshot whose fsync failed must not have been renamed into place.
+    let fs = FaultyFs::with_seed(13);
+    let series = sample_series(36);
+    let mut crashes = 0;
+    let mut pipeline = recover_fresh(&fs, &|_| {}, &mut crashes);
+    pipeline.append(&chunk(&series, 0, 18)).unwrap();
+    pipeline.snapshot_to(Path::new(SNAP)).unwrap();
+    pipeline.append(&chunk(&series, 18, 36)).unwrap();
+    fs.fail_nth(failpoints::SNAPSHOT_SYNC, 2);
+    assert!(pipeline.snapshot_to(Path::new(SNAP)).is_err());
+    drop(pipeline);
+    fs.sync_dir("test.setup", Path::new("chaos")).unwrap();
+    fs.crash();
+    fs.clear_faults();
+    let mut survivor = stream_builder().into_streaming();
+    survivor.set_storage(fs.clone());
+    survivor
+        .recover(Some(Path::new(SNAP)), Path::new(WAL))
+        .expect("the previous snapshot plus the log recover");
+    assert_eq!(survivor.num_granules(), 12, "acknowledged granules lost");
+}
+
+#[test]
 fn the_chaos_suite_exercises_every_registered_failpoint() {
     // The sweep only proves recovery at failpoints the workload reaches;
     // this meta-test proves the suite's scenarios reach *all* of them, so a

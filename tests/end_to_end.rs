@@ -45,7 +45,6 @@ fn paper_pipeline(engine: Engine) -> Pipeline {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: full pipeline runs
 fn full_pipeline_reproduces_the_paper_running_example() {
     let outcome = paper_pipeline(Engine::Exact)
         .run(&paper_series())
@@ -70,7 +69,6 @@ fn full_pipeline_reproduces_the_paper_running_example() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: full pipeline runs
 fn exact_and_baseline_agree_on_strongly_seasonal_patterns() {
     let exact = paper_pipeline(Engine::Exact).run(&paper_series()).unwrap();
     let baseline = paper_pipeline(Engine::ApsGrowth)
@@ -86,7 +84,6 @@ fn exact_and_baseline_agree_on_strongly_seasonal_patterns() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: full pipeline runs
 fn approximate_engine_matches_exact_when_nothing_is_pruned() {
     let exact = paper_pipeline(Engine::Exact).run(&paper_series()).unwrap();
     let approx = paper_pipeline(Engine::Approximate { mu: Some(0.0) })
@@ -97,7 +94,6 @@ fn approximate_engine_matches_exact_when_nothing_is_pruned() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: full pipeline runs
 fn generated_datasets_flow_through_all_three_engines() {
     let spec = DatasetSpec::real(DatasetProfile::HandFootMouth)
         .scaled_to(8, 240)
@@ -135,7 +131,6 @@ fn generated_datasets_flow_through_all_three_engines() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: full pipeline runs
 fn pruning_modes_are_output_equivalent_on_generated_data() {
     let spec = DatasetSpec::real(DatasetProfile::SmartCity)
         .scaled_to(7, 208)
@@ -162,7 +157,6 @@ fn pruning_modes_are_output_equivalent_on_generated_data() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: full pipeline runs
 fn mining_at_different_granularities_is_consistent() {
     // Definition 3.11: different sequence mappings give different D_SEQ; the
     // miner must work at every granularity and coarser granularities cannot

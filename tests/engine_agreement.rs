@@ -67,7 +67,6 @@ fn set_of<'a>(sets: &'a [(&'static str, BTreeSet<String>)], name: &str) -> &'a B
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: cross-engine mining runs
 fn exact_and_baseline_produce_identical_pattern_sets() {
     for profile in [DatasetProfile::Influenza, DatasetProfile::SmartCity] {
         for seed in [1u64, 7, 23] {
@@ -88,7 +87,6 @@ fn exact_and_baseline_produce_identical_pattern_sets() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: cross-engine mining runs
 fn approximate_output_is_a_subset_of_the_exact_output() {
     for profile in [DatasetProfile::Influenza, DatasetProfile::HandFootMouth] {
         for seed in [1u64, 7, 23] {
@@ -106,7 +104,6 @@ fn approximate_output_is_a_subset_of_the_exact_output() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: cross-engine mining runs
 fn zero_mu_approximate_engine_degenerates_to_exact() {
     let spec = DatasetSpec::real(DatasetProfile::RenewableEnergy)
         .scaled_to(6, 200)
@@ -155,7 +152,6 @@ fn deep_reports(profile: DatasetProfile, seed: u64, max_pattern_len: usize) -> [
 /// Both shapes must keep E-STPM — sequential and sharded — identical to
 /// APS-growth in patterns, supports and seasons, and A-STPM inside E-STPM.
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: cross-engine mining runs
 fn engines_agree_at_pattern_lengths_three_and_four() {
     for profile in [DatasetProfile::Influenza, DatasetProfile::SmartCity] {
         for seed in [1u64, 7, 23] {

@@ -71,7 +71,6 @@ fn assert_identical(sequential: &MiningReport, parallel: &MiningReport, context:
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: multi-thread mining runs
 fn parallel_equals_sequential_on_the_paper_example() {
     let dsyb = paper_dsyb();
     let config = paper_config();
@@ -84,7 +83,6 @@ fn parallel_equals_sequential_on_the_paper_example() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: multi-thread mining runs
 fn parallel_equals_sequential_on_seeded_random_databases() {
     for seed in [7, 42, 1234] {
         let spec = DatasetSpec::real(DatasetProfile::RenewableEnergy)
@@ -121,7 +119,6 @@ fn parallel_equals_sequential_on_seeded_random_databases() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: multi-thread mining runs
 fn parallel_engines_agree_through_the_pipeline() {
     // The facade's threads knob reaches all engines that mine levels; the
     // pattern sets must match the sequential run for each of them.

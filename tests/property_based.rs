@@ -392,7 +392,6 @@ fn span_based_seasons_match_the_reference_materializer() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: dataset-scale loop
 fn season_tracker_matches_the_batch_walker_on_every_prefix() {
     // The streaming miner's per-pattern season state must agree with the
     // batch season extraction at *every* prefix of an append-only support
@@ -437,7 +436,6 @@ fn season_tracker_matches_the_batch_walker_on_every_prefix() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: dataset-scale loop
 fn adjacency_bitset_enumeration_matches_the_naive_f1_scan() {
     let label_at = |i: usize| EventLabel::new(SeriesId(i as u32), SymbolId(0));
     for seed in 0..CASES / 2 {
@@ -658,7 +656,6 @@ fn mu_threshold_is_monotone_in_event_probability() {
 // Mining whole random databases is more expensive; fewer cases.
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: dataset-scale loop
 fn pruning_never_changes_the_mined_output() {
     for case in 0..12u64 {
         let mut rng = SeededRng::seed_from_u64(case);
@@ -692,7 +689,6 @@ fn pruning_never_changes_the_mined_output() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: dataset-scale loop
 fn every_reported_pattern_satisfies_the_seasonality_constraints() {
     for case in 0..12u64 {
         let mut rng = SeededRng::seed_from_u64(case);
@@ -741,7 +737,6 @@ fn every_reported_pattern_satisfies_the_seasonality_constraints() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: dataset-scale loop
 fn structural_validators_accept_randomized_mining_state() {
     // The `invariants` validators must accept every state the miners
     // actually construct: batch HLH_1 tables, materialised seasons,

@@ -230,7 +230,6 @@ fn a_version_1_miner_snapshot_restores_exactly() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // real snapshot/WAL files
 fn a_version_1_pipeline_snapshot_and_wal_recover_exactly() {
     // Recovery re-attaches the WAL for appending, so work on copies.
     let dir = std::env::temp_dir().join(format!("stpm_snapshot_format_{}", std::process::id()));

@@ -72,7 +72,6 @@ fn random_boundaries(rng: &mut SeededRng, total: usize) -> Vec<(usize, usize)> {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn snapshot_restore_append_is_byte_identical_at_every_checkpoint() {
     // The uninterrupted run snapshots at every batch boundary; then, for
     // every checkpoint k, a second miner is restored from snapshot k and
@@ -192,7 +191,6 @@ fn stream_builder() -> Pipeline {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn pipeline_snapshot_round_trips_and_resumes_exactly() {
     let series = sample_series(90);
     let mut original = stream_builder().into_streaming();
@@ -218,7 +216,6 @@ fn pipeline_snapshot_round_trips_and_resumes_exactly() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn empty_pipeline_snapshot_round_trips() {
     let mut empty = stream_builder().into_streaming();
     let bytes = pipeline_snapshot(&mut empty);
@@ -232,7 +229,6 @@ fn empty_pipeline_snapshot_round_trips() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn crash_between_snapshots_loses_nothing_with_a_wal() {
     let dir = scratch_dir("wal_recovery");
     let snap_path = dir.join("state.snap");
@@ -281,7 +277,6 @@ fn crash_between_snapshots_loses_nothing_with_a_wal() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn a_torn_wal_tail_is_dropped_and_the_durable_prefix_recovers() {
     let dir = scratch_dir("torn_tail");
     let wal_path = dir.join("state.wal");
@@ -325,7 +320,6 @@ fn a_torn_wal_tail_is_dropped_and_the_durable_prefix_recovers() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn attach_wal_truncates_a_torn_tail_before_new_appends() {
     // A crash mid-append leaves a torn record; a session that reconstructs
     // the durable prefix itself and then attaches the WAL directly must not
@@ -358,7 +352,6 @@ fn attach_wal_truncates_a_torn_tail_before_new_appends() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn attach_wal_rejects_a_file_that_is_not_a_wal() {
     let dir = scratch_dir("attach_foreign");
     let path = dir.join("not_a_wal.bin");
@@ -370,7 +363,6 @@ fn attach_wal_rejects_a_file_that_is_not_a_wal() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn a_failed_snapshot_to_keeps_the_wal_and_the_pending_accounting() {
     let dir = scratch_dir("failed_snapshot");
     let wal_path = dir.join("state.wal");
@@ -399,7 +391,6 @@ fn a_failed_snapshot_to_keeps_the_wal_and_the_pending_accounting() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn snapshot_to_leaves_no_temp_file_and_truncates_the_wal() {
     let dir = scratch_dir("atomic_snapshot");
     let snap_path = dir.join("state.snap");
@@ -431,7 +422,6 @@ fn snapshot_to_leaves_no_temp_file_and_truncates_the_wal() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn recovery_from_nothing_starts_empty_and_creates_the_wal() {
     let dir = scratch_dir("from_nothing");
     let mut pipeline = stream_builder().into_streaming();
@@ -454,7 +444,6 @@ fn recovery_from_nothing_starts_empty_and_creates_the_wal() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn every_pipeline_snapshot_truncation_is_a_typed_error() {
     let series = sample_series(45);
     let mut original = stream_builder().into_streaming();
@@ -478,7 +467,6 @@ fn every_pipeline_snapshot_truncation_is_a_typed_error() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn random_bit_flips_in_a_pipeline_snapshot_never_panic() {
     let series = sample_series(45);
     let mut original = stream_builder().into_streaming();
@@ -501,7 +489,6 @@ fn random_bit_flips_in_a_pipeline_snapshot_never_panic() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn wal_bit_flips_recover_the_durable_prefix_or_error_but_never_panic() {
     let dir = scratch_dir("wal_flips");
     let wal_path = dir.join("state.wal");
@@ -532,7 +519,6 @@ fn wal_bit_flips_recover_the_durable_prefix_or_error_but_never_panic() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn config_mismatches_surface_as_typed_errors() {
     let series = sample_series(45);
     let mut original = stream_builder().into_streaming();
@@ -641,7 +627,6 @@ fn recovery_with_mismatched_config_is_typed_under_injected_faults() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn seasonal_threshold_changes_replay_trackers_on_restore() {
     // Restoring under relaxed seasonality thresholds is legal — the restored
     // state must equal a fresh run entirely under the new thresholds.
@@ -678,7 +663,6 @@ fn seasonal_threshold_changes_replay_trackers_on_restore() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // filesystem-heavy: real snapshot/WAL files
 fn future_format_versions_are_rejected_with_the_version_error() {
     let series = sample_series(45);
     let mut original = stream_builder().into_streaming();

@@ -62,7 +62,6 @@ fn assert_stream_equals_batch(
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: repeated batch re-mines
 fn streaming_matches_batch_on_random_databases_and_boundaries() {
     for case in 0..10u64 {
         let mut rng = SeededRng::seed_from_u64(case);
@@ -89,7 +88,6 @@ fn streaming_matches_batch_on_random_databases_and_boundaries() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: repeated batch re-mines
 fn streaming_matches_batch_under_fractional_thresholds() {
     // Fractional thresholds re-resolve as the prefix grows, forcing the
     // tracker-replay fallback at some checkpoints; exactness must survive.
@@ -114,7 +112,6 @@ fn streaming_matches_batch_under_fractional_thresholds() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: repeated batch re-mines
 fn a_batch_boundary_splitting_a_tail_season_is_absorbed_exactly() {
     // Two seasons of C:1·D:1 co-occurrence; the second season straddles the
     // append boundary (granules 8..10 arrive first, 11..12 later), so the
@@ -167,7 +164,6 @@ fn a_batch_boundary_splitting_a_tail_season_is_absorbed_exactly() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: repeated batch re-mines
 fn streaming_with_threads_is_byte_identical_to_sequential() {
     let data = generate(
         &DatasetSpec::real(DatasetProfile::RenewableEnergy)
@@ -206,7 +202,6 @@ fn streaming_with_threads_is_byte_identical_to_sequential() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore)] // interpreter-slow: repeated batch re-mines
 fn streaming_pipeline_replays_arrival_batches_exactly() {
     // End-to-end through the facade: the datagen batched-arrival profile is
     // replayed through a StreamingPipeline; every checkpoint matches a batch
