@@ -27,7 +27,11 @@
 //! commits its bytes; `fsync` on the parent directory commits namespace
 //! operations (create/rename/remove). [`FaultyFs::crash`] discards
 //! everything volatile, which is exactly the state a machine reboot would
-//! leave behind.
+//! leave behind. A journaling filesystem may also commit namespace
+//! operations *early* (a periodic journal commit, or another file's
+//! directory fsync); [`CrashFlavour::EarlyNamespace`] models that worst
+//! case, so a crash sweep run under both flavours sees a rename reach the
+//! disk before the renamed file's bytes.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -324,9 +328,22 @@ struct Inode {
     durable: Option<Vec<u8>>,
 }
 
+/// What a [`FaultyFs::crash`] keeps of the namespace. File contents revert
+/// to their last fsync under either flavour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CrashFlavour {
+    /// Only namespace operations a directory fsync committed survive.
+    #[default]
+    DirSyncedNamespace,
+    /// Every namespace operation survives — creates, renames and removals
+    /// alike — as if the journal had committed each one before the crash.
+    EarlyNamespace,
+}
+
 #[derive(Debug, Default)]
 struct FaultyState {
     seed: u64,
+    flavour: CrashFlavour,
     inodes: Vec<Inode>,
     /// Volatile namespace: path → inode, lost on crash.
     live_dir: BTreeMap<PathBuf, usize>,
@@ -393,6 +410,13 @@ impl FaultyFs {
         fs
     }
 
+    /// The same filesystem, crashing with `flavour` from now on.
+    #[must_use]
+    pub fn with_crash_flavour(self, flavour: CrashFlavour) -> Self {
+        self.lock().flavour = flavour;
+        self
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, FaultyState> {
         self.state.lock().expect("FaultyFs mutex poisoned")
     }
@@ -442,15 +466,20 @@ impl FaultyFs {
         self.lock().ops.get(failpoint).copied().unwrap_or(0)
     }
 
-    /// Simulate a machine crash: every volatile write and namespace change
-    /// is discarded, leaving only fsync-committed state behind.
+    /// Simulate a machine crash: every volatile write is discarded, and so
+    /// is every namespace change no directory fsync committed — unless the
+    /// filesystem crashes with [`CrashFlavour::EarlyNamespace`], which keeps
+    /// (and commits) the whole namespace as it stands.
     ///
     /// Handles held across a crash keep writing into detached inodes, as a
     /// process holding a stale descriptor would; tests drop the pipeline
     /// before crashing.
     pub fn crash(&self) {
         let mut state = self.lock();
-        state.live_dir = state.durable_dir.clone();
+        match state.flavour {
+            CrashFlavour::DirSyncedNamespace => state.live_dir = state.durable_dir.clone(),
+            CrashFlavour::EarlyNamespace => state.durable_dir = state.live_dir.clone(),
+        }
         for inode in &mut state.inodes {
             inode.content = inode.durable.clone().unwrap_or_default();
         }
@@ -869,6 +898,28 @@ mod tests {
         // Content is durable but the namespace entry is not.
         fs.crash();
         assert!(fs.peek(path).is_err());
+    }
+
+    #[test]
+    fn an_early_namespace_crash_keeps_names_but_reverts_unsynced_bytes() {
+        let fs = FaultyFs::new().with_crash_flavour(CrashFlavour::EarlyNamespace);
+        let dir = Path::new("/d");
+        let old = dir.join("f");
+        let tmp = dir.join("f.tmp");
+        let mut file = fs.create("t.create", &old).unwrap();
+        file.write_all("t.write", b"old").unwrap();
+        file.sync_all("t.sync").unwrap();
+        // Written and renamed over `old`, never synced: the rename survives
+        // the crash, the bytes do not.
+        let mut file = fs.create("t.create", &tmp).unwrap();
+        file.write_all("t.write", b"new").unwrap();
+        fs.rename("t.rename", &tmp, &old).unwrap();
+        fs.crash();
+        assert_eq!(fs.live_paths(), vec![old.clone()]);
+        assert_eq!(fs.peek(&old).unwrap(), b"");
+        // The kept namespace is durable from then on.
+        fs.crash();
+        assert_eq!(fs.live_paths(), vec![old]);
     }
 
     #[test]

@@ -101,7 +101,8 @@ pub use config::{PruningMode, ResolvedConfig, StpmConfig, Threshold};
 pub use engine::{accuracy, EngineReport, MiningEngine, MiningInput, PhaseTiming, PruningSummary};
 pub use error::{Error, Result};
 pub use fault::{
-    failpoints, Failpoint, FaultyFs, MemoryBudget, RealFs, RetryPolicy, StorageBackend, StorageFile,
+    failpoints, CrashFlavour, Failpoint, FaultyFs, MemoryBudget, RealFs, RetryPolicy,
+    StorageBackend, StorageFile,
 };
 pub use hlh::{GroupId, Hlh1, HlhK, PatternId, RelationAdjacency, VerdictTable};
 pub use invariants::InvariantViolation;

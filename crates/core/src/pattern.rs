@@ -110,6 +110,57 @@ pub fn try_decode_triple(word: u64) -> Option<RelationTriple> {
     })
 }
 
+/// The sort key [`TemporalPattern::from_parts`] orders triples by: the
+/// later event of the pair, then the earlier one, then the orientation and
+/// the relation. It is injective, so an interning key is canonical exactly
+/// when its triples are non-decreasing under it — a check on the key words
+/// as read, with no pattern to build (see [`check_key_triples`]).
+#[inline]
+fn canonical_triple_order(t: &RelationTriple) -> (u8, u8, u8, u8, RelationKind) {
+    let (a, b) = t.pair();
+    (b, a, t.first, t.second, t.relation)
+}
+
+/// Why the triple words of an interning key do not encode a canonical
+/// pattern (see [`check_key_triples`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyDefect {
+    /// A word outside the [`encode_triple`] domain.
+    NotATriple(u64),
+    /// A triple naming an event index at or past the pattern length.
+    IndexOutOfRange(u8),
+    /// The triples are valid but not in [`TemporalPattern::from_parts`]'s
+    /// order.
+    NotCanonical,
+}
+
+/// Checks the triple words of a `k`-pattern's interning key (the words after
+/// its `k` labels) without decoding the pattern: every word must be a
+/// triple over event indexes below `k`, and the triples must be
+/// non-decreasing under the canonical order. A key passes exactly when
+/// [`TemporalPattern::from_parts`] + [`encode_pattern_key`] reproduce it,
+/// since the sort is stable and the order key injective. Invalid words are
+/// reported before an order violation.
+pub(crate) fn check_key_triples(k: usize, words: &[u64]) -> Result<(), KeyDefect> {
+    let mut previous = None;
+    let mut in_order = true;
+    for &word in words {
+        let triple = try_decode_triple(word).ok_or(KeyDefect::NotATriple(word))?;
+        let top = triple.first.max(triple.second);
+        if usize::from(top) >= k {
+            return Err(KeyDefect::IndexOutOfRange(top));
+        }
+        let rank = canonical_triple_order(&triple);
+        in_order &= previous.is_none_or(|p| p <= rank);
+        previous = Some(rank);
+    }
+    if in_order {
+        Ok(())
+    } else {
+        Err(KeyDefect::NotCanonical)
+    }
+}
+
 /// Inverse of [`encode_pattern_key`] for a known event count `k`: rebuilds
 /// the pattern from its packed interning key. The streaming miner ships only
 /// keys between granule workers and the persistent store, reconstructing the
@@ -188,10 +239,7 @@ impl TemporalPattern {
     /// canonical order so that structurally identical patterns compare equal.
     #[must_use]
     pub fn from_parts(events: Vec<EventLabel>, mut triples: Vec<RelationTriple>) -> Self {
-        triples.sort_by_key(|t| {
-            let (a, b) = t.pair();
-            (b, a, t.first, t.second, t.relation)
-        });
+        triples.sort_by_key(canonical_triple_order);
         Self { events, triples }
     }
 

@@ -261,14 +261,44 @@ pub struct SeasonTracker {
 }
 
 impl SeasonTracker {
-    /// Replays a full support set through a fresh tracker — used when the
-    /// resolved seasonality thresholds change (fractional thresholds crossing
-    /// a granule-count boundary invalidate the incremental state).
+    /// The tracker that pushing every granule of `support` through a fresh
+    /// one would leave — used when the resolved seasonality thresholds
+    /// change (fractional thresholds crossing a granule-count boundary
+    /// invalidate the incremental state) and by [`SeasonTracker::validate`].
+    ///
+    /// It walks whole maximal near runs with the batch walker's `run_end`
+    /// instead of pushing granule by granule: the `distmin` trimming only
+    /// drops a prefix of a run, every run closed by a `maxPeriod` gap is
+    /// finalized as `push` would when the gap arrives, and the last run
+    /// becomes the pending tail. The result is bit-identical to the push
+    /// replay (property-tested).
+    ///
+    /// # Panics
+    /// Panics when the support set outgrows `u32` indices.
     #[must_use]
     pub fn rebuild(support: &[GranulePos], config: &ResolvedConfig) -> Self {
         let mut tracker = Self::default();
-        for (idx, &granule) in support.iter().enumerate() {
-            tracker.push(idx, granule, config);
+        let index = |i: usize| u32::try_from(i).expect("support length fits u32");
+        let mut i = 0usize;
+        while i < support.len() {
+            let j = run_end(support, i, config.max_period);
+            // prev_end is fixed within a run, so the kept granules are a
+            // suffix of it.
+            let mut s = i;
+            while s < j && !tracker.keeps(support[s], config) {
+                s += 1;
+            }
+            let run = PendingRun {
+                kept_from: (s < j).then(|| index(s)),
+                first_kept: support[if s < j { s } else { i }],
+                last: support[j - 1],
+            };
+            if j < support.len() {
+                tracker.finalize(run, index(j), config);
+            } else {
+                tracker.pending = Some(run);
+            }
+            i = j;
         }
         tracker
     }

@@ -45,6 +45,11 @@
 //! reaching past it, a span of length 0 or ending past its support, and a
 //! non-canonical or duplicate pattern key are all
 //! [`Error::SnapshotCorrupt`]. Gap sums are checked, so no input overflows.
+//! A pattern key is checked on its words as read, with no pattern built:
+//! its labels must be registered, its triple words valid with indexes
+//! below `k`, and its triples non-decreasing under the order
+//! [`TemporalPattern::from_parts`](crate::pattern::TemporalPattern::from_parts)
+//! sorts them by — exactly the keys a decode and re-encode reproduce.
 //!
 //! **Version 1** wrote the same fields as fixed-width integers (`u32`
 //! counts, span bounds and `kept_from`; `u64` granules, labels, key words
@@ -132,7 +137,7 @@
 use crate::config::{PruningMode, StpmConfig, Threshold};
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
-use crate::pattern::{encode_pattern_key, try_decode_triple, TemporalPattern};
+use crate::pattern::{check_key_triples, KeyDefect};
 use crate::season::{PendingRun, SeasonTracker};
 use crate::streaming::{StreamEventEntry, StreamLevel, StreamPatternEntry, StreamingMiner};
 use crate::support::SupportSet;
@@ -406,7 +411,26 @@ impl<'a> ByteReader<'a> {
     /// Truncation, a varint longer than 10 bytes, a 10th byte that overflows
     /// `u64` and a non-shortest encoding (a trailing zero group) are typed
     /// errors.
+    #[inline]
     pub fn take_varint(&mut self) -> Result<u64> {
+        // Fast paths, inlined into the decode loops: nearly every support
+        // gap and span field fits one or two bytes.
+        match *self.rest() {
+            [low, ..] if low < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(low))
+            }
+            [low, high, ..] if high < 0x80 && high != 0 => {
+                self.pos += 2;
+                Ok(u64::from(low & 0x7F) | (u64::from(high) << 7))
+            }
+            _ => self.take_long_varint(),
+        }
+    }
+
+    /// The general case of [`ByteReader::take_varint`], with every error.
+    #[inline(never)]
+    fn take_long_varint(&mut self) -> Result<u64> {
         let mut value = 0u64;
         for (i, &byte) in self.rest().iter().take(10).enumerate() {
             let group = u64::from(byte & 0x7F);
@@ -433,6 +457,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a varint that must fit a `u32`.
+    #[inline]
     pub fn take_varint_u32(&mut self) -> Result<u32> {
         let v = self.take_varint()?;
         u32::try_from(v).map_err(|_| self.fail(format_args!("varint {v} overflows u32")))
@@ -754,11 +779,11 @@ fn read_support(r: &mut ByteReader<'_>, ints: Ints, num_granules: u64) -> Result
             "support of {count} granules exceeds the {num_granules} absorbed"
         )));
     }
-    let mut support = Vec::with_capacity(capped(
-        u64::from(count),
-        r.remaining(),
-        ints.min_bytes(8, 1),
-    ));
+    let len = capped(u64::from(count), r.remaining(), ints.min_bytes(8, 1));
+    // Room for the appends that follow a restore, as a support grown by
+    // pushes would have: with the exact length, the first WAL record
+    // replayed after a restore reallocated every support it touched.
+    let mut support = Vec::with_capacity(len + len / 8 + 4);
     let mut prev = 0u64;
     for _ in 0..count {
         let granule = match ints {
@@ -982,16 +1007,35 @@ fn encode_level(level: &StreamLevel) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_varint(level.k as u64);
     w.put_varint(level.entries.len() as u64);
-    for entry in &level.entries {
+    for (entry, key) in level.entries.iter().zip(level.entry_keys()) {
         // The interning key fully encodes the pattern; its length is fixed
         // by k, so no per-entry length prefix is needed.
-        for word in encode_pattern_key(&entry.pattern) {
+        for &word in key {
             w.put_varint(word);
         }
         write_support(&mut w, &entry.support);
         write_tracker(&mut w, &entry.tracker);
     }
     w.into_bytes()
+}
+
+/// Checks one interning key read from a `LEVEL` section on its words: the
+/// `k` labels against the registry, then the triples
+/// ([`check_key_triples`]: valid words, indexes below `k`, canonical order).
+fn check_key(r: &ByteReader<'_>, k: usize, key: &[u64], registry: &EventRegistry) -> Result<()> {
+    let (event_words, triple_words) = key.split_at(k.min(key.len()));
+    for &word in event_words {
+        read_label(r, word, registry)?;
+    }
+    check_key_triples(k, triple_words).map_err(|defect| match defect {
+        KeyDefect::NotATriple(word) => {
+            r.fail(format_args!("key word {word:#x} is not a relation triple"))
+        }
+        KeyDefect::IndexOutOfRange(index) => r.fail(format_args!(
+            "triple indexes event {index} of a {k}-pattern"
+        )),
+        KeyDefect::NotCanonical => r.fail("pattern key is not in canonical order"),
+    })
 }
 
 fn decode_level(
@@ -1009,61 +1053,37 @@ fn decode_level(
         )));
     }
     let count = ints.take_u32(&mut r)?;
-    let key_len = k + k * (k - 1) / 2;
     let mut level = StreamLevel::new(k);
-    level.entries.reserve(capped(
+    let key_len = level.key_len();
+    let capacity = capped(
         u64::from(count),
         r.remaining(),
         ints.min_bytes(key_len * 8, key_len + 6),
-    ));
+    );
+    level.entries.reserve(capacity);
+    level.index.reserve(capacity);
+    level.keys.reserve(capacity * key_len);
+    // One key buffer for the whole section: each key is checked on its
+    // words as read, and only the index copy of a new key is allocated.
+    let mut key = vec![0u64; key_len];
     for _ in 0..count {
-        let mut key = Vec::with_capacity(key_len);
-        for _ in 0..key_len {
-            key.push(ints.take_u64(&mut r)?);
+        for word in &mut key {
+            *word = ints.take_u64(&mut r)?;
         }
-        // `key` has exactly `key_len = k + k(k-1)/2` words, so this split
-        // cannot fail; `split_at` keeps the decode path free of raw indexing.
-        let (event_words, triple_words) = key.split_at(k);
-        let events: Vec<EventLabel> = event_words
-            .iter()
-            .map(|&word| read_label(&r, word, registry))
-            .collect::<Result<_>>()?;
-        let triples = triple_words
-            .iter()
-            .map(|&word| {
-                let triple = try_decode_triple(word).ok_or_else(|| {
-                    r.fail(format_args!("key word {word:#x} is not a relation triple"))
-                })?;
-                if usize::from(triple.first.max(triple.second)) >= k {
-                    return Err(r.fail(format_args!(
-                        "triple indexes event {} of a {k}-pattern",
-                        triple.first.max(triple.second)
-                    )));
-                }
-                Ok(triple)
-            })
-            .collect::<Result<_>>()?;
-        let pattern = TemporalPattern::from_parts(events, triples);
-        if encode_pattern_key(&pattern) != key {
-            return Err(r.fail("pattern key is not in canonical order"));
-        }
+        check_key(&r, k, &key, registry)?;
         let support = read_support(&mut r, ints, num_granules)?;
         let support_len =
             u32::try_from(support.len()).map_err(|_| r.fail("support length overflows u32"))?;
         let tracker = read_tracker(&mut r, ints, support_len)?;
-        let idx = u32::try_from(level.entries.len())
-            .map_err(|_| r.fail("pattern count overflows u32"))?;
-        if !level.groups.contains(event_words) {
-            level.groups.insert(event_words.into());
+        if u32::try_from(level.entries.len()).is_err() {
+            return Err(r.fail("pattern count overflows u32"));
         }
-        if level.index.insert(key.into_boxed_slice(), idx).is_some() {
-            return Err(r.fail("duplicate pattern key"));
-        }
-        level.entries.push(StreamPatternEntry {
-            pattern,
-            support,
-            tracker,
-        });
+        level
+            .push_new(
+                key.as_slice().into(),
+                StreamPatternEntry { support, tracker },
+            )
+            .ok_or_else(|| r.fail("duplicate pattern key"))?;
     }
     r.finish()?;
     Ok(level)
@@ -1381,9 +1401,18 @@ pub fn read_symbolic_database(r: &mut ByteReader<'_>) -> Result<SymbolicDatabase
         let alphabet = Alphabet::new(labels)
             .map_err(|e| corrupt(format!("series `{name}` carries an invalid alphabet: {e}")))?;
         let symbol_count = r.take_u64()?;
-        let mut symbols = Vec::with_capacity(capped(symbol_count, r.remaining(), 2));
-        for _ in 0..symbol_count {
-            let symbol = r.take_u16()?;
+        // One bounds check for the whole series, then two bytes per symbol.
+        let byte_len = usize::try_from(symbol_count)
+            .ok()
+            .and_then(|count| count.checked_mul(2))
+            .ok_or_else(|| r.fail(format_args!("{symbol_count} symbols overflow usize")))?;
+        let bytes = r.take(byte_len)?;
+        let mut symbols = Vec::with_capacity(byte_len / 2);
+        for pair in bytes.chunks_exact(2) {
+            let &[lo, hi] = pair else {
+                return Err(r.fail("internal length mismatch"));
+            };
+            let symbol = u16::from_le_bytes([lo, hi]);
             if u32::from(symbol) >= label_count {
                 return Err(corrupt(format!(
                     "series `{name}` references symbol {symbol} outside its {label_count}-symbol \
@@ -1777,6 +1806,7 @@ mod tests {
         assert!(is_corrupt(take(&overflow)));
         // A trailing zero group is not the shortest form.
         assert!(is_corrupt(take(&[0x80, 0x00])));
+        assert!(is_corrupt(take(&[0xFF, 0x00])));
         // The u32-checked variant rejects 2^32.
         let bytes = varints(&[1 << 32]);
         assert!(is_corrupt(
@@ -2145,5 +2175,122 @@ mod tests {
             flipped[offset] ^= 1 << (offset % 8);
             let _ = wal_read(&flipped); // must not panic
         }
+    }
+
+    /// The reference the word-level key check is held to: labels registered
+    /// in `registry`, every triple word decodable with both indexes below
+    /// `k`, and a key that `TemporalPattern::from_parts` +
+    /// `encode_pattern_key` reproduce.
+    fn round_trips(k: usize, key: &[u64], registry: &EventRegistry) -> bool {
+        let (labels, triples) = key.split_at(k);
+        let labels_ok = labels.iter().all(|&word| {
+            word >> 48 == 0
+                && registry
+                    .alphabet(SeriesId((word >> 16) as u32))
+                    .is_some_and(|alphabet| ((word & 0xFFFF) as usize) < alphabet.len())
+        });
+        let decoded: Option<Vec<_>> = triples
+            .iter()
+            .map(|&word| {
+                crate::pattern::try_decode_triple(word)
+                    .filter(|t| usize::from(t.first.max(t.second)) < k)
+            })
+            .collect();
+        let (true, Some(decoded)) = (labels_ok, decoded) else {
+            return false;
+        };
+        let events = labels.iter().map(|&w| EventLabel::from_packed(w)).collect();
+        crate::pattern::encode_pattern_key(&crate::pattern::TemporalPattern::from_parts(
+            events, decoded,
+        )) == key
+    }
+
+    #[test]
+    fn the_word_level_key_check_accepts_exactly_the_round_tripping_keys() {
+        use crate::pattern::{encode_triple, RelationTriple};
+        use crate::relation::RelationKind;
+        let registry = sample_dseq().registry().clone();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let kinds = [
+            RelationKind::Follows,
+            RelationKind::Contains,
+            RelationKind::Overlaps,
+        ];
+        let (mut accepted, mut rejected) = (0, 0);
+        for k in 2..=4_usize {
+            for case in 0..3_000 {
+                // A registered label, or now and then a foreign one.
+                let mut key: Vec<u64> = (0..k)
+                    .map(|_| match next(12) {
+                        0 => (2 << 16) | next(2),
+                        1 => next(2) << 16 | 2,
+                        2 => 1 << 48,
+                        _ => (next(2) << 16) | next(2),
+                    })
+                    .collect();
+                // One valid triple per pair, in canonical order.
+                let mut triples: Vec<RelationTriple> = (0..k as u8)
+                    .flat_map(|b| (0..b).map(move |a| (a, b)))
+                    .map(|(a, b)| {
+                        let kind = kinds[next(3) as usize];
+                        if next(2) == 0 {
+                            RelationTriple::new(kind, a, b)
+                        } else {
+                            RelationTriple::new(kind, b, a)
+                        }
+                    })
+                    .collect();
+                let pattern = crate::pattern::TemporalPattern::from_parts(Vec::new(), triples);
+                triples = pattern.triples().to_vec();
+                let mut words: Vec<u64> = triples.iter().map(|&t| encode_triple(t)).collect();
+                let n = words.len() as u64;
+                match case % 6 {
+                    0 => {}
+                    // Shuffled: swap two triples.
+                    1 => words.swap(next(n) as usize, next(n) as usize),
+                    // Duplicated: one triple copied over another.
+                    2 => words[next(n) as usize] = words[next(n) as usize],
+                    // An invalid relation code.
+                    3 => words[next(n) as usize] |= (3 + next(5)) << 16,
+                    // An index at or past k, or a self-pair.
+                    4 => {
+                        let i = next(n) as usize;
+                        let index = if next(2) == 0 { k as u64 + next(3) } else { 0 };
+                        words[i] = if index == 0 {
+                            (next(3) << 16) | (1 << 8) | 1
+                        } else if next(2) == 0 {
+                            (next(3) << 16) | (index << 8)
+                        } else {
+                            (next(3) << 16) | index
+                        };
+                    }
+                    // An arbitrary word.
+                    _ => words[next(n) as usize] = next(1 << 20),
+                }
+                key.extend(&words);
+                let r = ByteReader::new(&[], "key");
+                let fast = check_key(&r, k, &key, &registry).is_ok();
+                assert_eq!(
+                    fast,
+                    round_trips(k, &key, &registry),
+                    "k = {k}, case {case}, key {key:#x?}"
+                );
+                if fast {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(
+            accepted > 1_000 && rejected > 1_000,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 }

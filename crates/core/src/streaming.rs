@@ -50,7 +50,11 @@
 //!
 //! The persistent state is a closed set of plain values — supports, interned
 //! pattern keys, tracker loop states — with no instance pool, binding pool or
-//! verdict table, so it serializes compactly. The [`snapshot`](crate::snapshot)
+//! verdict table, so it serializes compactly. Each level keeps its keys in
+//! one flat arena and decodes a `TemporalPattern` only when a checkpoint
+//! reports it, so a restore reads every key into a reused buffer, checks it
+//! on its words and allocates only the index key, the support and any
+//! season spans per pattern. The [`snapshot`](crate::snapshot)
 //! subsystem persists it behind [`StreamingMiner::snapshot`] /
 //! [`StreamingMiner::restore`]; a restored miner is indistinguishable from
 //! one that never left memory (the equivalence is property-tested at every
@@ -70,6 +74,7 @@ use crate::relation::{
 use crate::report::{LevelStats, MinedEvent, MinedPattern, MiningReport, MiningStats};
 use crate::season::SeasonTracker;
 use crate::support::SupportSet;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use stpm_timeseries::{
@@ -88,22 +93,27 @@ pub(crate) struct StreamEventEntry {
     pub(crate) tracker: SeasonTracker,
 }
 
-/// Per-pattern persistent state. The pattern itself is stored exactly once
-/// (decoded from its interning key when the key is first seen); bindings are
-/// *not* retained (they are only needed while the granule that produced them
-/// is being extended).
+/// Per-pattern persistent state. The pattern itself lives only as its
+/// interning key in the level's key arena; bindings are *not* retained (they
+/// are only needed while the granule that produced them is being extended).
 #[derive(Debug, Clone)]
 pub(crate) struct StreamPatternEntry {
-    pub(crate) pattern: crate::pattern::TemporalPattern,
     pub(crate) support: SupportSet,
     pub(crate) tracker: SeasonTracker,
 }
 
 /// One persistent pattern level (k ≥ 2): an interned pattern arena plus the
 /// distinct event groups seen, for reporting parity with the batch stats.
+///
+/// Pattern `id`'s interning key is `keys[id * key_len..(id + 1) * key_len]`
+/// (`key_len = k + k(k−1)/2`), and `index` maps each key back to its id. A
+/// pattern is decoded from its key only when a checkpoint reports it, so
+/// absorbing and restoring a pattern allocate no `TemporalPattern`.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamLevel {
     pub(crate) k: usize,
+    /// Every entry's interning key, back to back in entry order.
+    pub(crate) keys: Vec<u64>,
     pub(crate) index: FxHashMap<Box<[u64]>, u32>,
     pub(crate) entries: Vec<StreamPatternEntry>,
     /// Distinct event groups (packed label prefixes) with ≥ 1 pattern.
@@ -114,33 +124,66 @@ impl StreamLevel {
     pub(crate) fn new(k: usize) -> Self {
         Self {
             k,
+            keys: Vec::new(),
             index: FxHashMap::default(),
             entries: Vec::new(),
             groups: FxHashSet::default(),
         }
     }
 
+    /// Words per interning key: `k` labels plus `k(k−1)/2` triples.
+    pub(crate) fn key_len(&self) -> usize {
+        self.k + self.k * (self.k - 1) / 2
+    }
+
+    /// The interning keys of every entry, in entry order.
+    pub(crate) fn entry_keys(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.keys.chunks_exact(self.key_len())
+    }
+
+    /// Interns a new key: appends it to the index, the arena and (when its
+    /// event group is new) the group set, with `entry` as its state, and
+    /// returns the new entry's id — or `None`, changing nothing, when the
+    /// key is already interned.
+    ///
+    /// # Panics
+    /// Panics when the level outgrows `u32` ids.
+    pub(crate) fn push_new(&mut self, key: Box<[u64]>, entry: StreamPatternEntry) -> Option<u32> {
+        let id = u32::try_from(self.entries.len()).expect("patterns fit u32");
+        let Entry::Vacant(slot) = self.index.entry(key) else {
+            return None;
+        };
+        let key = slot.key();
+        // Allocate the group key only for genuinely new groups (the lookup
+        // borrows the slice).
+        if !self.groups.contains(&key[..self.k]) {
+            self.groups.insert(key[..self.k].into());
+        }
+        self.keys.extend_from_slice(key);
+        slot.insert(id);
+        self.entries.push(entry);
+        Some(id)
+    }
+
     /// Approximate heap footprint in bytes (element counts only, so parallel
-    /// and sequential states report identical numbers).
+    /// and sequential states report identical numbers): per entry its
+    /// support, tracker spans, a decoded pattern's labels and 4-byte
+    /// triples and its index key, plus `k` words per event group.
     fn footprint_bytes(&self) -> usize {
+        let key_len = self.key_len();
+        let per_pattern = self.k * std::mem::size_of::<EventLabel>()
+            + (key_len - self.k) * 4
+            + key_len * std::mem::size_of::<u64>();
         let entry_bytes: usize = self
             .entries
             .iter()
             .map(|e| {
-                e.support.len() * std::mem::size_of::<GranulePos>()
-                    + std::mem::size_of_val(e.pattern.events())
-                    + e.pattern.triples().len() * 4
-                    + e.tracker.footprint_bytes()
+                e.support.len() * std::mem::size_of::<GranulePos>() + e.tracker.footprint_bytes()
             })
             .sum();
-        #[expect(clippy::disallowed_methods, reason = "summing is order-insensitive")]
-        let index_bytes: usize = self
-            .index
-            .keys()
-            .chain(self.groups.iter())
-            .map(|key| key.len() * std::mem::size_of::<u64>())
-            .sum();
-        entry_bytes + index_bytes
+        entry_bytes
+            + self.entries.len() * per_pattern
+            + self.groups.len() * self.k * std::mem::size_of::<u64>()
     }
 }
 
@@ -550,26 +593,20 @@ impl StreamingMiner {
         }
         for (level, mined) in self.levels.iter_mut().zip(harvest.levels) {
             for key in mined {
-                let entry = match level.index.get(key.as_slice()) {
-                    Some(&idx) => &mut level.entries[idx as usize],
-                    None => {
-                        let idx = u32::try_from(level.entries.len()).expect("patterns fit u32");
-                        // Allocate the group key only for genuinely new
-                        // groups (the lookup borrows the slice).
-                        if !level.groups.contains(&key[..level.k]) {
-                            level.groups.insert(key[..level.k].into());
-                        }
-                        let pattern = decode_pattern_key(level.k, &key);
-                        level.index.insert(key.into_boxed_slice(), idx);
-                        level.entries.push(StreamPatternEntry {
-                            pattern,
-                            // lint:allow(hot-path-alloc): first-occurrence arm
-                            support: Vec::new(),
-                            tracker: SeasonTracker::default(),
-                        });
-                        &mut level.entries[idx as usize]
-                    }
+                let idx = match level.index.get(key.as_slice()) {
+                    Some(&idx) => idx,
+                    None => level
+                        .push_new(
+                            key.into_boxed_slice(),
+                            StreamPatternEntry {
+                                // lint:allow(hot-path-alloc): first-occurrence arm
+                                support: Vec::new(),
+                                tracker: SeasonTracker::default(),
+                            },
+                        )
+                        .expect("the lookup missed"),
                 };
+                let entry = &mut level.entries[idx as usize];
                 let idx = entry.support.len();
                 entry.support.push(granule);
                 entry.tracker.push(idx, granule, config);
@@ -707,11 +744,11 @@ impl StreamingMiner {
         let mut footprint = self.event_footprint_bytes();
         for level in &self.levels {
             let mut frequent = 0usize;
-            for entry in &level.entries {
+            for (entry, key) in level.entries.iter().zip(level.entry_keys()) {
                 if entry.tracker.is_frequent(entry.support.len(), &resolved) {
                     frequent += 1;
                     patterns_out.push(MinedPattern::new(
-                        entry.pattern.clone(),
+                        decode_pattern_key(level.k, key),
                         entry.support.clone(),
                         entry.tracker.snapshot(&entry.support, &resolved),
                     ));
@@ -773,14 +810,15 @@ impl StreamingMiner {
 // ---------------------------------------------------------------------------
 
 use crate::invariants::{invariant, InvariantViolation};
-use crate::pattern::encode_pattern_key;
+use crate::pattern::check_key_triples;
 
 impl StreamingMiner {
     /// Validates the persistent streaming state: every support set ascends
     /// strictly and stays within the absorbed granule range, every level's
-    /// pattern index is a permutation of its arena with keys that re-encode
-    /// their patterns, and every incremental [`SeasonTracker`] is
-    /// bit-identical to a fresh replay of its accumulated support.
+    /// key arena holds one canonical key over registered events per entry,
+    /// its pattern index maps exactly those keys to their entry ids, and
+    /// every incremental [`SeasonTracker`] is bit-identical to a fresh
+    /// replay of its accumulated support.
     ///
     /// # Errors
     /// The first [`InvariantViolation`] found, if any.
@@ -809,28 +847,24 @@ impl StreamingMiner {
             invariant!(S, level.k == k, "level slot {idx} holds k={}", level.k);
             invariant!(
                 S,
-                level.index.len() == level.entries.len(),
-                "level k={k} index has {} keys for {} entries",
+                level.index.len() == level.entries.len()
+                    && level.keys.len() == level.entries.len() * level.key_len(),
+                "level k={k} index has {} keys and the arena {} words for {} entries",
                 level.index.len(),
+                level.keys.len(),
                 level.entries.len()
             );
-            let mut seen = vec![false; level.entries.len()];
-            for (key, &id) in &level.index {
-                let Some(entry) = level.entries.get(id as usize) else {
-                    return Err(InvariantViolation::new(
-                        S,
-                        format!("level k={k} pattern id {id} out of range"),
-                    ));
-                };
+            for (id, key) in level.entry_keys().enumerate() {
                 invariant!(
                     S,
-                    !std::mem::replace(&mut seen[id as usize], true),
-                    "level k={k} pattern id {id} indexed twice"
+                    key[..k].iter().all(|&word| self.is_registered(word))
+                        && check_key_triples(k, &key[k..]).is_ok(),
+                    "level k={k} arena key {id} is not a canonical key over registered events"
                 );
                 invariant!(
                     S,
-                    encode_pattern_key(&entry.pattern) == **key,
-                    "level k={k} index key does not re-encode pattern {id}"
+                    level.index.get(key).is_some_and(|&i| i as usize == id),
+                    "level k={k} index does not map arena key {id} to its entry"
                 );
             }
             for group in &level.groups {
@@ -851,6 +885,15 @@ impl StreamingMiner {
             }
         }
         Ok(())
+    }
+
+    /// Whether a packed label word names an event of the registry.
+    fn is_registered(&self, word: u64) -> bool {
+        word >> 48 == 0
+            && self
+                .registry
+                .alphabet(stpm_timeseries::SeriesId((word >> 16) as u32))
+                .is_some_and(|alphabet| ((word & 0xFFFF) as usize) < alphabet.len())
     }
 
     fn validate_candidate(

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use stpm_core::{failpoints, FaultyFs, MemoryBudget, StpmConfig, Threshold};
+use stpm_core::{failpoints, CrashFlavour, FaultyFs, MemoryBudget, StpmConfig, Threshold};
 use stpm_datagen::{service_load, ServiceLoad, TenantLoadSpec};
 use stpm_service::{Request, Response, Service, ServiceConfig};
 
@@ -218,27 +218,35 @@ fn service_survives_faults_and_hard_kills_at_every_exercised_failpoint() {
     assert!(baseline_fs.op_count(failpoints::RECOVER_READ_WAL) > 0);
 
     // Sweep: an injected failure at (up to 4 of) every failpoint's ops,
-    // each run hard-killed on every surfaced error.
+    // each run hard-killed on every surfaced error, under both crash
+    // flavours: tenants share one directory, so one tenant's directory sync
+    // can commit another's pending rename.
     let mut swept = 0_u32;
     let mut kills = 0_u32;
-    for fp in failpoints::ALL {
-        let count = baseline_fs.op_count(fp);
-        if count == 0 {
-            continue;
-        }
-        let stride = (count / 4).max(1);
-        let mut nth = 1;
-        while nth <= count {
-            let fs = FaultyFs::with_seed(21);
-            fs.fail_nth(fp, nth);
-            let (outcome, run_kills) = drive(&fs, &load, &config, &[]);
-            assert_eq!(
-                outcome, baseline,
-                "failpoint {fp} op #{nth}: tenant state diverged from the fault-free run"
-            );
-            swept += 1;
-            kills += run_kills;
-            nth += stride;
+    for flavour in [
+        CrashFlavour::DirSyncedNamespace,
+        CrashFlavour::EarlyNamespace,
+    ] {
+        for fp in failpoints::ALL {
+            let count = baseline_fs.op_count(fp);
+            if count == 0 {
+                continue;
+            }
+            let stride = (count / 4).max(1);
+            let mut nth = 1;
+            while nth <= count {
+                let fs = FaultyFs::with_seed(21).with_crash_flavour(flavour);
+                fs.fail_nth(fp, nth);
+                let (outcome, run_kills) = drive(&fs, &load, &config, &[]);
+                assert_eq!(
+                    outcome, baseline,
+                    "{flavour:?}, failpoint {fp} op #{nth}: tenant state diverged from the \
+                     fault-free run"
+                );
+                swept += 1;
+                kills += run_kills;
+                nth += stride;
+            }
         }
     }
     assert!(

@@ -128,11 +128,8 @@ impl SequenceDatabase {
                 ),
             });
         }
-        let sequences = (0..num_granules)
-            .map(|g| build_granule_sequence(db, m, g))
-            .collect();
         Ok(Self {
-            sequences,
+            sequences: db.granule_sequences(m, 0..num_granules)?,
             registry: db.registry().clone(),
             m,
             num_series: db.num_series(),
@@ -265,18 +262,16 @@ impl SequenceDatabase {
         }
         let from = self.sequences.len();
         self.sequences
-            .extend((built..total).map(|g| build_granule_sequence(db, self.m, g)));
+            .extend(db.granule_sequences(self.m, built..total)?);
         Ok(&self.sequences[from..])
     }
 }
 
 /// Builds the temporal sequence of 0-based granule `g` of `db` under mapping
 /// factor `m`: within the granule's window, runs of identical symbols of each
-/// series become event instances (Definition 3.11). Shared by the full build
-/// ([`SequenceDatabase::from_symbolic`]) and the streaming append
-/// ([`SequenceDatabase::append_from_symbolic`]), so appended granules are
-/// bit-identical to batch-built ones.
-fn build_granule_sequence(db: &SymbolicDatabase, m: u64, g: u64) -> TemporalSequence {
+/// series become event instances (Definition 3.11). Called only through
+/// [`SymbolicDatabase::granule_sequences`], which checks the range.
+pub(crate) fn build_granule_sequence(db: &SymbolicDatabase, m: u64, g: u64) -> TemporalSequence {
     let base = g * m; // 0-based offset of the first instant of granule g+1
     let mut instances = Vec::new();
     for (sid, series) in db.series().iter().enumerate() {

@@ -3,9 +3,10 @@
 
 use crate::error::{Error, Result};
 use crate::registry::{EventRegistry, SeriesId, SymbolId};
-use crate::sequence::SequenceDatabase;
+use crate::sequence::{build_granule_sequence, SequenceDatabase, TemporalSequence};
 use crate::series::TimeSeries;
 use crate::symbolize::{Alphabet, Symbolizer};
+use std::ops::Range;
 
 /// A symbolic time series: the per-instant symbol encoding of one raw series.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,6 +251,38 @@ impl SymbolicDatabase {
     /// length.
     pub fn to_sequence_database(&self, m: u64) -> Result<SequenceDatabase> {
         SequenceDatabase::from_symbolic(self, m)
+    }
+
+    /// Builds the temporal sequences of the 0-based granules `granules`
+    /// under the sequence mapping with factor `m` (Definition 3.9): granule
+    /// `g` covers instants `g·m + 1 ..= (g + 1)·m` and becomes the sequence
+    /// at position `g + 1`. This is the one granule builder: the batch build
+    /// ([`SequenceDatabase::from_symbolic`]) and every streaming append go
+    /// through it, so a granule built in any range is bit-identical to a
+    /// batch-built one.
+    ///
+    /// # Errors
+    /// [`Error::InvalidGranularity`] when `m == 0` or the range reaches past
+    /// the last complete granule.
+    pub fn granule_sequences(&self, m: u64, granules: Range<u64>) -> Result<Vec<TemporalSequence>> {
+        if m == 0 {
+            return Err(Error::InvalidGranularity {
+                reason: "the sequence-mapping factor m must be at least 1".into(),
+            });
+        }
+        let complete = self.len() as u64 / m;
+        if granules.end > complete {
+            return Err(Error::InvalidGranularity {
+                reason: format!(
+                    "granule {} is requested but only {complete} complete granules of m={m} \
+                     instants fit",
+                    granules.end
+                ),
+            });
+        }
+        Ok(granules
+            .map(|g| build_granule_sequence(self, m, g))
+            .collect())
     }
 
     /// Truncates every series to the first `len` instants (used by the

@@ -2,13 +2,15 @@
 # Chaos gate: the deterministic fault-injection sweeps, both in release.
 #
 # 1. `chaos_recovery` crashes the persistence stack at every registered
-#    failpoint and requires recovery to be byte-identical with zero
-#    acknowledged-granule loss, plus the torn-tail, failed-WAL-append,
+#    failpoint, under both FaultyFs crash flavours (un-synced names lost,
+#    or kept as a journaling filesystem may commit them early), and
+#    requires recovery to be byte-identical with zero acknowledged-granule
+#    loss, plus the torn-tail, failed-WAL-append,
 #    lying-fsync, transient-retry and failed-snapshot scenarios and the
 #    check that the suite reaches every registered failpoint.
 # 2. `stpm-service`'s `service_chaos` drives a multi-tenant workload under a
 #    starved memory budget with hard daemon kills and injected faults at
-#    every failpoint, and requires every tenant's final pattern set and
+#    every failpoint, under both crash flavours, and requires every tenant's final pattern set and
 #    granule count to match the fault-free run with zero acked-append loss.
 #
 # CI's analysis job executes this exact script, so a local

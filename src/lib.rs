@@ -68,9 +68,10 @@ pub mod prelude {
     pub use stpm_approx::AStpmMiner;
     pub use stpm_baseline::ApsGrowth;
     pub use stpm_core::{
-        accuracy, failpoints, CheckpointMeta, EngineReport, FaultyFs, MemoryBudget, MinedPattern,
-        MiningEngine, MiningInput, MiningReport, PruningMode, RealFs, RelationKind, RetryPolicy,
-        StorageBackend, StpmConfig, StpmMiner, StreamingMiner, TemporalPattern, Threshold,
+        accuracy, failpoints, CheckpointMeta, CrashFlavour, EngineReport, FaultyFs, MemoryBudget,
+        MinedPattern, MiningEngine, MiningInput, MiningReport, PruningMode, RealFs, RelationKind,
+        RetryPolicy, StorageBackend, StpmConfig, StpmMiner, StreamingMiner, TemporalPattern,
+        Threshold,
     };
     pub use stpm_datagen::{generate, DatasetProfile, DatasetSpec};
     pub use stpm_timeseries::{
@@ -349,15 +350,16 @@ impl Pipeline {
 }
 
 /// The accumulated state of a [`StreamingPipeline`] once the first batch has
-/// arrived: the growing databases plus the incremental miner over them.
+/// arrived: the growing symbolic database plus the incremental miner over
+/// it. No `D_SEQ` history is kept: each append builds only its new
+/// granules' sequences, which the miner absorbs and drops.
 struct StreamState {
     dsyb: SymbolicDatabase,
-    dseq: SequenceDatabase,
     miner: StreamingMiner,
 }
 
 impl StreamState {
-    /// Folds a symbolized batch into `state` (databases + miner), starting
+    /// Folds a symbolized batch into `state` (database + miner), starting
     /// it on the first batch, without WAL logging and without emitting a
     /// checkpoint report — the shared core of
     /// [`StreamingPipeline::append_symbolic`] and WAL replay, where mining a
@@ -386,24 +388,22 @@ impl StreamState {
             }
             None => {
                 let dsyb = batch.clone();
-                let dseq = SequenceDatabase::from_sequences(
-                    Vec::new(),
-                    dsyb.registry().clone(),
-                    mapping_factor,
-                    dsyb.num_series(),
-                );
                 let miner =
                     StreamingMiner::new(config, dsyb.registry()).map_err(PipelineError::Mining)?;
-                state.insert(StreamState { dsyb, dseq, miner })
+                state.insert(StreamState { dsyb, miner })
             }
         };
+        // The granules the grown database completes beyond the absorbed ones.
         let appended = state
-            .dseq
-            .append_from_symbolic(&state.dsyb)
+            .dsyb
+            .granule_sequences(
+                mapping_factor,
+                state.miner.num_granules()..state.dsyb.len() as u64 / mapping_factor,
+            )
             .map_err(PipelineError::Transform)?;
         state
             .miner
-            .append_batch(appended)
+            .append_batch(&appended)
             .map_err(PipelineError::Mining)?;
         Ok(())
     }
@@ -420,35 +420,29 @@ impl StreamState {
         else {
             return Ok(None);
         };
-        let mut dseq = SequenceDatabase::from_sequences(
-            Vec::new(),
-            dsyb.registry().clone(),
-            mapping_factor,
-            dsyb.num_series(),
-        );
-        dseq.append_from_symbolic(&dsyb)
-            .map_err(PipelineError::Transform)?;
-        if miner.num_granules() != dseq.num_granules() {
+        let granules = (dsyb.len() as u64).checked_div(mapping_factor);
+        if granules != Some(miner.num_granules()) {
             return Err(PipelineError::Persistence(
                 stpm_core::Error::SnapshotCorrupt {
                     reason: format!(
-                        "the miner absorbed {} granules but the symbolic database maps to {}",
+                        "the miner absorbed {} granules but the symbolic database holds {} \
+                         instants of m = {mapping_factor}",
                         miner.num_granules(),
-                        dseq.num_granules()
+                        dsyb.len()
                     ),
                 },
             ));
         }
-        Ok(Some(StreamState { dsyb, dseq, miner }))
+        Ok(Some(StreamState { dsyb, miner }))
     }
 }
 
 /// The streaming counterpart of [`Pipeline`]: raw samples arrive in batches,
-/// are symbolized once (only the new samples), folded into the growing
-/// `D_SYB`/`D_SEQ`, and absorbed by the incremental
-/// [`StreamingMiner`] — every [`append`](StreamingPipeline::append) returns a
-/// checkpoint report that is exactly what a batch re-mine of the full prefix
-/// would report.
+/// are symbolized once (only the new samples) and folded into the growing
+/// `D_SYB`; the `D_SEQ` sequences of the granules they complete are built
+/// once, absorbed by the incremental [`StreamingMiner`] and dropped — every
+/// [`append`](StreamingPipeline::append) returns a checkpoint report that is
+/// exactly what a batch re-mine of the full prefix would report.
 ///
 /// Built from a configured [`Pipeline`] via [`Pipeline::into_streaming`]:
 ///
@@ -701,13 +695,6 @@ impl StreamingPipeline {
         self.state.as_ref().map(|s| &s.dsyb)
     }
 
-    /// The accumulated temporal sequence database, once the first batch has
-    /// arrived.
-    #[must_use]
-    pub fn dseq(&self) -> Option<&SequenceDatabase> {
-        self.state.as_ref().map(|s| &s.dseq)
-    }
-
     /// Granules absorbed since the most recent snapshot — the state a crash
     /// would lose without a write-ahead log. Zero before the first batch.
     #[must_use]
@@ -747,9 +734,9 @@ impl StreamingPipeline {
     }
 
     /// Approximate in-memory footprint of the pipeline's streaming state:
-    /// the miner's arena footprint plus the growing symbolic and sequence
-    /// databases. An estimate for admission-control and eviction
-    /// accounting, not an allocator-exact measurement.
+    /// the miner's arena footprint, the growing symbolic database and a
+    /// nominal per-granule term. An estimate for admission-control and
+    /// eviction accounting, not an allocator-exact measurement.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         let Some(state) = &self.state else {
@@ -757,11 +744,13 @@ impl StreamingPipeline {
         };
         let miner = state.miner.footprint_bytes() as u64;
         let series = state.dsyb.num_series() as u64;
-        // 2 bytes per stored symbol (`SymbolId` is a u16) plus a nominal
-        // per-granule instance overhead for the sequence database.
+        // 2 bytes per stored symbol (`SymbolId` is a u16).
         let dsyb = state.dsyb.len() as u64 * series * 2;
-        let dseq = state.dseq.num_granules() * series * 24;
-        miner + dsyb + dseq
+        // The per-granule term of the sequence database the pipeline used
+        // to keep. No D_SEQ is resident any more; the term stays so that
+        // budget-driven eviction decisions do not move.
+        let granules = state.miner.num_granules() * series * 24;
+        miner + dsyb + granules
     }
 
     /// Replaces the storage backend every subsequent persistence operation
@@ -1285,10 +1274,8 @@ mod tests {
         assert_eq!(stream.num_granules(), 3);
         assert_eq!(stream.pending_instants(), 0);
         assert_eq!(report.pattern_set(), batch_outcome.report.pattern_set());
-        assert_eq!(
-            stream.dseq().unwrap().sequences(),
-            batch_outcome.dseq.sequences()
-        );
+        // The streamed D_SYB is the batch one, so its D_SEQ is too.
+        assert_eq!(stream.dsyb(), batch_outcome.dsyb.as_ref());
         assert_eq!(stream.dsyb().unwrap().len(), 9);
         // A checkpoint without an append reproduces the same output.
         let again = stream.checkpoint().unwrap();

@@ -9,6 +9,9 @@
 //! All storage is the in-memory [`FaultyFs`], whose crash semantics mirror
 //! a real kernel's: bytes become durable on `sync_all`, names become
 //! durable on directory sync, and `crash()` discards everything volatile.
+//! The failpoint sweep runs under both [`CrashFlavour`]s: names lost unless
+//! a directory sync committed them, and names kept as a journaling
+//! filesystem may commit them early, before the renamed file's bytes.
 //! No real files are touched, so every run is exactly reproducible.
 
 use freqstpfts::prelude::*;
@@ -192,33 +195,39 @@ fn a_crash_at_every_failpoint_recovers_byte_identically() {
         .map(|fp| (*fp, baseline_fs.op_count(fp)))
         .collect();
 
-    let mut total_crashes = 0u32;
-    for &(fp, count) in &baseline_ops {
-        for nth in 1..=count {
-            let fs = FaultyFs::with_seed(1);
-            fs.fail_nth(fp, nth);
-            let (bytes, report, crashes) = run_script(&fs, &series);
-            assert_eq!(
-                bytes, baseline_bytes,
-                "failpoint {fp} op #{nth}: final snapshot diverged from the fault-free run"
-            );
-            assert_eq!(
-                report.events(),
-                baseline_report.events(),
-                "failpoint {fp} op #{nth}: recovered events diverged"
-            );
-            assert_eq!(
-                report.patterns(),
-                baseline_report.patterns(),
-                "failpoint {fp} op #{nth}: recovered patterns diverged"
-            );
-            total_crashes += crashes;
+    for flavour in [
+        CrashFlavour::DirSyncedNamespace,
+        CrashFlavour::EarlyNamespace,
+    ] {
+        let mut total_crashes = 0u32;
+        for &(fp, count) in &baseline_ops {
+            for nth in 1..=count {
+                let fs = FaultyFs::with_seed(1).with_crash_flavour(flavour);
+                fs.fail_nth(fp, nth);
+                let (bytes, report, crashes) = run_script(&fs, &series);
+                assert_eq!(
+                    bytes, baseline_bytes,
+                    "{flavour:?}, failpoint {fp} op #{nth}: final snapshot diverged from the \
+                     fault-free run"
+                );
+                assert_eq!(
+                    report.events(),
+                    baseline_report.events(),
+                    "{flavour:?}, failpoint {fp} op #{nth}: recovered events diverged"
+                );
+                assert_eq!(
+                    report.patterns(),
+                    baseline_report.patterns(),
+                    "{flavour:?}, failpoint {fp} op #{nth}: recovered patterns diverged"
+                );
+                total_crashes += crashes;
+            }
         }
+        assert!(
+            total_crashes > 0,
+            "the {flavour:?} sweep never actually crashed — the failpoints are not wired in"
+        );
     }
-    assert!(
-        total_crashes > 0,
-        "the sweep never actually crashed — the failpoints are not wired in"
-    );
 }
 
 #[test]

@@ -436,6 +436,42 @@ fn season_tracker_matches_the_batch_walker_on_every_prefix() {
 }
 
 #[test]
+fn run_skipping_rebuild_equals_push_replay() {
+    // `SeasonTracker::rebuild` walks whole near runs; pushing every granule
+    // through a fresh tracker is the reference it must equal bit for bit,
+    // at every prefix (so every shape of open tail is covered). Gaps up to
+    // 3 × maxPeriod mix extended runs, closed runs and single-granule runs;
+    // a `distmin` up to 4 × maxPeriod often trims whole runs away.
+    use freqstpfts::core::season::SeasonTracker;
+    for seed in 0..4 * CASES {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        let max_period = 1 + rng.next_below(6);
+        let min_density = 1 + rng.next_below(4);
+        let dist_min = rng.next_below(4 * max_period + 2);
+        let dist_max = dist_min + rng.next_below(30);
+        let config = resolved(max_period, min_density, (dist_min, dist_max), 1);
+        let len = rng.next_below(50) as usize;
+        let mut support = Vec::with_capacity(len);
+        let mut granule = rng.next_below(5);
+        for _ in 0..len {
+            granule += 1 + rng.next_below(3 * max_period);
+            support.push(granule);
+        }
+        let mut replayed = SeasonTracker::default();
+        assert_eq!(SeasonTracker::rebuild(&[], &config), replayed);
+        for (idx, &granule) in support.iter().enumerate() {
+            replayed.push(idx, granule, &config);
+            assert_eq!(
+                SeasonTracker::rebuild(&support[..=idx], &config),
+                replayed,
+                "seed {seed}, prefix {:?}",
+                &support[..=idx]
+            );
+        }
+    }
+}
+
+#[test]
 fn adjacency_bitset_enumeration_matches_the_naive_f1_scan() {
     let label_at = |i: usize| EventLabel::new(SeriesId(i as u32), SymbolId(0));
     for seed in 0..CASES / 2 {

@@ -304,3 +304,165 @@ fn versions_past_the_current_one_are_version_errors() {
         ));
     }
 }
+
+/// One item of a v2 `LEVEL` payload, in order: a varint or a tag byte.
+#[derive(Clone, Copy)]
+enum Item {
+    Varint(u64),
+    Tag(u8),
+}
+
+/// Splits a v2 `LEVEL` payload into its items, returning them with the
+/// item indexes of every key word.
+fn level_items(payload: &[u8]) -> (Vec<Item>, Vec<usize>) {
+    let mut r = snapshot::ByteReader::new(payload, "level");
+    let mut items = Vec::new();
+    let mut key_words = Vec::new();
+    let varint = |r: &mut snapshot::ByteReader<'_>, items: &mut Vec<Item>| {
+        let v = r.take_varint().unwrap();
+        items.push(Item::Varint(v));
+        v
+    };
+    let tag = |r: &mut snapshot::ByteReader<'_>, items: &mut Vec<Item>| {
+        let t = r.take_u8().unwrap();
+        items.push(Item::Tag(t));
+        t
+    };
+    let k = varint(&mut r, &mut items) as usize;
+    let count = varint(&mut r, &mut items);
+    for _ in 0..count {
+        for _ in 0..k + k * (k - 1) / 2 {
+            key_words.push(items.len());
+            varint(&mut r, &mut items);
+        }
+        let support = varint(&mut r, &mut items);
+        for _ in 0..support {
+            varint(&mut r, &mut items);
+        }
+        let spans = varint(&mut r, &mut items);
+        for _ in 0..2 * spans + 2 {
+            varint(&mut r, &mut items);
+        }
+        if tag(&mut r, &mut items) == 1 {
+            varint(&mut r, &mut items);
+        }
+        if tag(&mut r, &mut items) == 1 {
+            if tag(&mut r, &mut items) == 1 {
+                varint(&mut r, &mut items);
+            }
+            varint(&mut r, &mut items);
+            varint(&mut r, &mut items);
+        }
+    }
+    r.finish().unwrap();
+    (items, key_words)
+}
+
+fn encode_items(items: &[Item]) -> Vec<u8> {
+    let mut w = snapshot::ByteWriter::new();
+    for item in items {
+        match *item {
+            Item::Varint(v) => w.put_varint(v),
+            Item::Tag(t) => w.put_u8(t),
+        }
+    }
+    w.into_bytes()
+}
+
+/// The sections of a snapshot after its 16-byte header, as (tag, payload).
+fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let mut rest = &bytes[16..];
+    let mut out = Vec::new();
+    while !rest.is_empty() {
+        let tag = u32::from_le_bytes(rest[..4].try_into().unwrap());
+        let len = u64::from_le_bytes(rest[4..12].try_into().unwrap()) as usize;
+        out.push((tag, rest[12..12 + len].to_vec()));
+        rest = &rest[12 + len + 4..];
+    }
+    out
+}
+
+/// Reassembles a snapshot from its header and sections, sealing each
+/// section with its CRC.
+fn seal(header: &[u8], sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut out = header.to_vec();
+    for (tag, payload) in sections {
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&snapshot::crc32(payload).to_le_bytes());
+    }
+    out
+}
+
+#[test]
+fn mutated_pattern_key_words_are_typed_errors_or_canonical_states() {
+    // Every key word of the golden snapshot's LEVEL sections is replaced by
+    // nearby and foreign values, and each section is resealed with a valid
+    // CRC, so the decoder's word-level key checks are all that stand
+    // between the bytes and the restored state. Each mutation must end in
+    // a typed error, or in a miner that validates, reports without
+    // panicking and re-encodes its levels to exactly the mutated bytes.
+    const LEVEL: u32 = 5;
+    let bytes = std::fs::read(fixture("miner_v2_paper_golden.snap")).unwrap();
+    let header = &bytes[..16];
+    let original = sections(&bytes);
+    let (mut rejected, mut accepted) = (0_u32, 0_u32);
+    for (index, (tag, payload)) in original.iter().enumerate() {
+        if *tag != LEVEL {
+            continue;
+        }
+        let (items, key_words) = level_items(payload);
+        // Debug builds mutate every fifth key word (5 is coprime to both
+        // key lengths, 3 and 6, so every word position is still hit);
+        // release builds, where the validators are folded away, all.
+        let stride = if cfg!(debug_assertions) { 5 } else { 1 };
+        for (n, &at) in key_words.iter().enumerate().step_by(stride) {
+            let Item::Varint(word) = items[at] else {
+                unreachable!("key words are varints")
+            };
+            let neighbour = |offset: usize| match items[key_words[(n + offset) % key_words.len()]] {
+                Item::Varint(w) => w,
+                Item::Tag(_) => unreachable!("key words are varints"),
+            };
+            // Flips of a label's symbol and series bits, of a triple's
+            // indexes and relation code, and past the 48-bit label packing.
+            let mut values: Vec<u64> = [0, 1, 8, 16, 17, 48]
+                .iter()
+                .map(|bit| word ^ (1 << bit))
+                .collect();
+            values.extend([word.wrapping_add(1), neighbour(1), neighbour(7)]);
+            for value in values {
+                if value == word {
+                    continue;
+                }
+                let mut mutated_items = items.clone();
+                mutated_items[at] = Item::Varint(value);
+                let mut mutated = original.clone();
+                mutated[index].1 = encode_items(&mutated_items);
+                let mutated_bytes = seal(header, &mutated);
+                match StreamingMiner::restore(&mut mutated_bytes.as_slice()) {
+                    Err(freqstpfts::core::Error::SnapshotCorrupt { .. }) => rejected += 1,
+                    Err(other) => panic!("an untyped error for word {n} = {value:#x}: {other}"),
+                    Ok(miner) => {
+                        miner.validate().unwrap_or_else(|violation| {
+                            panic!("word {n} = {value:#x} restored an invalid miner: {violation}")
+                        });
+                        miner.checkpoint().unwrap();
+                        let again = sections(&miner.encode_snapshot());
+                        for ((tag, before), (_, after)) in mutated.iter().zip(&again) {
+                            if *tag == LEVEL {
+                                assert_eq!(before, after, "word {n} = {value:#x} re-encodes");
+                            }
+                        }
+                        accepted += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        rejected > 0 && accepted > 0,
+        "{rejected} rejected, {accepted} accepted"
+    );
+}

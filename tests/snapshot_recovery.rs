@@ -203,7 +203,7 @@ fn pipeline_snapshot_round_trips_and_resumes_exactly() {
     let mut resumed = stream_builder().into_streaming();
     restore(&mut resumed, &bytes).unwrap();
     assert_eq!(resumed.num_granules(), original.num_granules());
-    assert_eq!(resumed.dseq().unwrap(), original.dseq().unwrap());
+    assert_eq!(resumed.dsyb().unwrap(), original.dsyb().unwrap());
     assert_eq!(resumed.checkpoint_meta(), original.checkpoint_meta());
 
     // Both sides absorb the same tail — reports and databases stay equal.
@@ -211,7 +211,7 @@ fn pipeline_snapshot_round_trips_and_resumes_exactly() {
     let b = resumed.append(&chunk(&series, 45, 90)).unwrap();
     assert_eq!(a.events(), b.events());
     assert_eq!(a.patterns(), b.patterns());
-    assert_eq!(original.dseq().unwrap(), resumed.dseq().unwrap());
+    assert_eq!(original.dsyb().unwrap(), resumed.dsyb().unwrap());
     assert_eq!(original.pending_granules(), resumed.pending_granules());
 }
 
