@@ -105,12 +105,6 @@ impl PsTree {
         }
     }
 
-    /// Number of nodes, including the root.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of transactions of the original database.
     #[must_use]
     pub fn db_len(&self) -> u64 {
@@ -216,7 +210,7 @@ mod tests {
     fn build_shares_prefixes() {
         let tree = PsTree::build(&sample_transactions(), 1, 4);
         // Root + a + b + c(under ab) + c(under a) + d = 6 nodes.
-        assert_eq!(tree.num_nodes(), 6);
+        assert_eq!(tree.nodes.len(), 6);
         assert_eq!(tree.db_len(), 4);
         assert!(tree.footprint_bytes() > 0);
     }
@@ -261,7 +255,7 @@ mod tests {
     #[test]
     fn empty_database_builds_only_a_root() {
         let tree = PsTree::build(&[], 1, 0);
-        assert_eq!(tree.num_nodes(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         assert!(tree.header_items().is_empty());
     }
 }

@@ -58,28 +58,6 @@ impl TransactionDb {
     pub fn transactions(&self) -> &[(GranulePos, Vec<EventLabel>)] {
         &self.transactions
     }
-
-    /// Support (number of containing transactions) of a single item.
-    #[must_use]
-    pub fn item_support(&self, item: EventLabel) -> u64 {
-        self.transactions
-            .iter()
-            .filter(|(_, items)| items.contains(&item))
-            .count() as u64
-    }
-
-    /// All distinct items of the database.
-    #[must_use]
-    pub fn distinct_items(&self) -> Vec<EventLabel> {
-        let mut items: Vec<EventLabel> = self
-            .transactions
-            .iter()
-            .flat_map(|(_, t)| t.iter().copied())
-            .collect();
-        items.sort_unstable();
-        items.dedup();
-        items
-    }
 }
 
 #[cfg(test)]
@@ -109,9 +87,6 @@ mod tests {
         assert_eq!(db.transactions()[0].1.len(), 4);
         // Granule 2 holds C:0 and D:1 only.
         assert_eq!(db.transactions()[1].1, vec![label(0, 0), label(1, 1)]);
-        assert_eq!(db.item_support(label(0, 0)), 2);
-        assert_eq!(db.item_support(label(0, 1)), 1);
-        assert_eq!(db.distinct_items().len(), 4);
     }
 
     #[test]
@@ -123,6 +98,5 @@ mod tests {
         assert_eq!(db.transactions()[0].1, vec![label(0, 0), label(1, 0)]);
         assert_eq!(db.transactions()[0].0, 1);
         assert_eq!(db.transactions()[1].0, 2);
-        assert_eq!(db.item_support(label(0, 0)), 2);
     }
 }

@@ -4,18 +4,21 @@
 //!
 //! The pruning mode travels inside [`StpmConfig`](stpm_core::StpmConfig), so
 //! the ablation drives the exact engine through the same
-//! [`stpm_core::MiningEngine`] path as every other experiment.
+//! [`stpm_core::MiningEngine`] path as every other experiment. It mines up
+//! to 3-event patterns: transitivity pruning acts only when extending a
+//! level past 2, so at `maxPatternLen` 2 the Trans column would re-measure
+//! NoPrune and the All column would re-measure Apriori.
 
 use super::runtime_memory::sweep_points;
 use super::{config_for, BenchScale, PreparedData};
 use crate::measure::measure;
 use crate::params::scaled_real_spec;
 use crate::table::TextTable;
-use stpm_core::{MiningInput, PruningMode, StpmMiner};
+use stpm_core::{EngineReport, MiningInput, PruningMode, StpmMiner};
 use stpm_datagen::DatasetProfile;
 
-/// Runtime (seconds) and pattern count of E-STPM under one pruning mode and
-/// one configuration.
+/// Runtime (seconds) and report of E-STPM, mining up to 3-event patterns,
+/// under one pruning mode and one configuration.
 #[must_use]
 pub fn runtime_for(
     input: &MiningInput<'_>,
@@ -24,10 +27,11 @@ pub fn runtime_for(
     max_period: f64,
     min_density: f64,
     min_season: u64,
-) -> (f64, usize) {
-    let config = config_for(profile, max_period, min_density, min_season).with_pruning(mode);
-    let (measurement, _) = measure(&StpmMiner, input, &config);
-    (measurement.runtime_secs(), measurement.patterns)
+) -> (f64, EngineReport) {
+    let mut config = config_for(profile, max_period, min_density, min_season).with_pruning(mode);
+    config.max_pattern_len = 3;
+    let (measurement, report) = measure(&StpmMiner, input, &config);
+    (measurement.runtime_secs(), report)
 }
 
 /// Runs the pruning ablation for every profile: one table per (profile,
@@ -49,9 +53,9 @@ pub fn run(profiles: &[DatasetProfile], scale: &BenchScale) -> Vec<TextTable> {
             );
             for (label, max_period, min_density, min_season) in points {
                 let mut row = vec![label];
-                let mut pattern_counts = Vec::new();
+                let mut reference = None;
                 for mode in PruningMode::all_modes() {
-                    let (runtime, patterns) = runtime_for(
+                    let (runtime, report) = runtime_for(
                         &prepared.input(),
                         profile,
                         mode,
@@ -59,13 +63,16 @@ pub fn run(profiles: &[DatasetProfile], scale: &BenchScale) -> Vec<TextTable> {
                         min_density,
                         min_season,
                     );
-                    pattern_counts.push(patterns);
+                    let patterns = report.pattern_set();
+                    let expected = reference.get_or_insert_with(|| patterns.clone());
+                    assert!(
+                        *expected == patterns,
+                        "{} pruning changed the mined output on {}",
+                        mode.label(),
+                        profile.short_name()
+                    );
                     row.push(format!("{runtime:.4}"));
                 }
-                debug_assert!(
-                    pattern_counts.windows(2).all(|w| w[0] == w[1]),
-                    "pruning must not change the mined output"
-                );
                 table.add_row(row);
             }
             tables.push(table);
@@ -92,7 +99,7 @@ mod tests {
         let scale = BenchScale::quick();
         let prepared =
             PreparedData::generate(&scale.apply(scaled_real_spec(DatasetProfile::HandFootMouth)));
-        let counts: Vec<usize> = PruningMode::all_modes()
+        let reports: Vec<EngineReport> = PruningMode::all_modes()
             .iter()
             .map(|&mode| {
                 runtime_for(
@@ -106,6 +113,33 @@ mod tests {
                 .1
             })
             .collect();
-        assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+        let [no_prune, apriori, trans, all] = &reports[..] else {
+            panic!("one report per pruning mode");
+        };
+        for report in [apriori, trans, all] {
+            assert_eq!(report.pattern_set(), no_prune.pattern_set());
+        }
+        // Transitivity acts at k = 3, where the adjacency rows prune
+        // extension candidates before any support work.
+        assert_eq!(no_prune.adjacency_pruned_candidates(), 0);
+        assert!(trans.adjacency_pruned_candidates() > 0);
+        assert!(all.adjacency_pruned_candidates() > 0);
+        // Apriori drops non-candidates at every level.
+        let candidates = |report: &EngineReport, k: usize| {
+            report
+                .stats()
+                .levels
+                .iter()
+                .find(|level| level.k == k)
+                .map_or(0, |level| level.candidate_patterns)
+        };
+        for k in [2, 3] {
+            assert!(
+                candidates(apriori, k) < candidates(no_prune, k),
+                "k = {k}: Apriori {} vs NoPrune {}",
+                candidates(apriori, k),
+                candidates(no_prune, k)
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! One module per experiment family of the paper's evaluation. Every module
 //! exposes a `run(...)` entry point returning [`TextTable`](crate::TextTable)s
-//! that print the same rows/series the paper reports; the binaries in
-//! `src/bin/` are thin wrappers around these functions.
+//! that print the same rows/series the paper reports; the `all_experiments`
+//! binary runs them, all in paper order or one with `--only <name>`.
 
 pub mod ablation;
 pub mod accuracy;

@@ -47,27 +47,26 @@ pub fn run(profiles: &[DatasetProfile], scale: &BenchScale) -> Vec<TextTable> {
     tables
 }
 
-/// The pattern count of one configuration point, for the monotonicity checks
-/// the paper highlights in its qualitative analysis of Tables IX/X.
-#[must_use]
-pub fn counts_for(
-    profile: DatasetProfile,
-    scale: &BenchScale,
-    period: f64,
-    min_season: u64,
-    min_density: f64,
-) -> usize {
-    let prepared = PreparedData::generate(&scale.apply(scaled_real_spec(profile)));
-    let config = config_for(profile, period, min_density, min_season);
-    StpmMiner
-        .mine_with(&prepared.input(), &config)
-        .expect("valid configuration")
-        .total_patterns()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pattern count of one configuration point, for the monotonicity checks
+    /// the paper highlights in its qualitative analysis of Tables IX/X.
+    fn counts_for(
+        profile: DatasetProfile,
+        scale: &BenchScale,
+        period: f64,
+        min_season: u64,
+        min_density: f64,
+    ) -> usize {
+        let prepared = PreparedData::generate(&scale.apply(scaled_real_spec(profile)));
+        let config = config_for(profile, period, min_density, min_season);
+        StpmMiner
+            .mine_with(&prepared.input(), &config)
+            .expect("valid configuration")
+            .total_patterns()
+    }
 
     #[test]
     fn produces_one_table_per_profile_with_grid_rows() {

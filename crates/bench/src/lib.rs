@@ -3,9 +3,10 @@
 //! The experiment harness that regenerates every table and figure of the
 //! FreqSTPfTS evaluation (Section VI and the appendix of the paper).
 //!
-//! Each experiment is a library function (under [`experiments`]) plus a thin
-//! binary in `src/bin/` that prints the same rows or series the paper
-//! reports. The harness is engine-agnostic: every experiment drives its
+//! Each experiment is a library function (under [`experiments`]) that
+//! returns the same rows or series the paper reports. The one binary,
+//! `all_experiments`, prints every table and figure in paper order, or one
+//! of them with `--only <name>` (the names are listed on a usage error). The harness is engine-agnostic: every experiment drives its
 //! miners through the [`stpm_core::MiningEngine`] trait and reads the
 //! unified [`stpm_core::EngineReport`], so adding a fourth engine means
 //! adding it to [`measure::contenders`] — nothing else. The default

@@ -94,12 +94,6 @@ impl TextTable {
     }
 }
 
-/// Formats a float with 2 decimal places (table-cell helper).
-#[must_use]
-pub fn fmt2(value: f64) -> String {
-    format!("{value:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,11 +121,5 @@ mod tests {
         t.add_row(vec!["1".into(), "2".into(), "3".into(), "4".into()]);
         let s = t.render();
         assert!(s.lines().count() >= 6);
-    }
-
-    #[test]
-    fn fmt2_rounds() {
-        assert_eq!(fmt2(1.2345), "1.23");
-        assert_eq!(fmt2(0.0), "0.00");
     }
 }

@@ -19,7 +19,7 @@ use stpm_core::{
     canonical_result_set, EngineReport, MiningEngine, StpmConfig, StpmMiner, StreamingMiner,
 };
 use stpm_datagen::{generate, DatasetProfile, DatasetSpec};
-use stpm_timeseries::{SequenceDatabase, SymbolicDatabase};
+use stpm_timeseries::SymbolicDatabase;
 
 const RE: DatasetProfile = DatasetProfile::RenewableEnergy;
 
@@ -82,22 +82,20 @@ fn streaming_checkpoints_equal_batch_remines_for_every_batch_size() {
         let batches = data.arrival_batches(batch_granules, batch_granules);
         assert_eq!(batches.len(), expected_checkpoints);
         let mut dsyb = batches[0].clone();
-        let mut dseq = SequenceDatabase::from_sequences(
-            Vec::new(),
-            dsyb.registry().clone(),
-            m,
-            dsyb.num_series(),
-        );
         let mut miner = StreamingMiner::new(&config, dsyb.registry()).expect("a valid config");
         let mut final_count = 0;
         for (index, batch) in batches.iter().enumerate() {
             if index > 0 {
                 dsyb.append_batch(batch).expect("batches share the schema");
             }
-            let appended = dseq
-                .append_from_symbolic(&dsyb)
-                .expect("the grown database extends the built prefix");
-            miner.append_batch(appended).expect("appends stay in order");
+            // The granules the grown database completes beyond the absorbed
+            // ones, built the way the facade's streaming pipeline builds them.
+            let appended = dsyb
+                .granule_sequences(m, miner.num_granules()..dsyb.len() as u64 / m)
+                .expect("the grown database extends the absorbed prefix");
+            miner
+                .append_batch(&appended)
+                .expect("appends stay in order");
             let report = miner.checkpoint().expect("a granule has been absorbed");
             assert_eq!(
                 canonical(&report),

@@ -40,8 +40,9 @@
 //!   verdict of every level-2 instance cross-product cell, addressed by
 //!   (label pair, granule, instance-index pair). The k-event miner looks
 //!   verdicts up instead of re-running the closed-form classifier on the
-//!   same interval pairs; the classifier remains the fallback for cells the
-//!   table does not cover.
+//!   same interval pairs. The table covers every cell level k can probe, so
+//!   it is level k's only verdict source; debug builds cross-check it
+//!   against the classifier.
 //!
 //! Levels also come in a *terminal* flavour ([`HlhK::new_terminal`]): the
 //! last level of a run is never extended, so its instance bindings are never
@@ -60,7 +61,7 @@
 //! level boundary under `debug_assertions` or the `strict-invariants`
 //! feature, which also enforce the one-stretch-per-group contract as it is
 //! used). The per-occurrence entry points (`instances_at_index`,
-//! `binding_ids_at`, `push_verdict`, `add_pattern_occurrence`, the cursor
+//! `binding_ids_at_index`, `push_verdict`, `add_pattern_occurrence`, the cursor
 //! seeks, …) are marked `// lint: hot-path`: `stpm-lint` rejects
 //! any allocating construct added to them, keeping occurrence inserts
 //! bump-appends and granule reads two offset lookups.
@@ -111,15 +112,6 @@ impl EventEntry {
             }
         }
         self.instances.push(instance);
-    }
-
-    /// Instances of the event in granule `granule`, or an empty slice.
-    #[must_use]
-    pub fn instances_at(&self, granule: GranulePos) -> &[EventInstance] {
-        match self.support.binary_search(&granule) {
-            Ok(idx) => self.instances_at_index(idx),
-            Err(_) => &[],
-        }
     }
 
     /// Instances of the event in granule `support[idx]` — the two-offset
@@ -214,14 +206,6 @@ impl Hlh1 {
         self.events.get(&label).map_or(&[], |e| &e.support)
     }
 
-    /// Instances of one event in one granule.
-    #[must_use]
-    pub fn instances_at(&self, label: EventLabel, granule: GranulePos) -> &[EventInstance] {
-        self.events
-            .get(&label)
-            .map_or(&[] as &[EventInstance], |e| e.instances_at(granule))
-    }
-
     /// Number of events held in the structure.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -291,17 +275,6 @@ impl PatternEntry {
             .get(idx + 1)
             .map_or(self.bindings.len(), |&s| s as usize);
         &self.bindings[start..end]
-    }
-
-    /// The binding ids of one granule (empty when the granule does not
-    /// support the pattern).
-    #[must_use]
-    // lint: hot-path
-    pub fn binding_ids_at(&self, granule: GranulePos) -> &[u32] {
-        match self.support.binary_search(&granule) {
-            Ok(idx) => self.binding_ids_at_index(idx),
-            Err(_) => &[],
-        }
     }
 
     /// Approximate heap footprint in bytes (pool slots are accounted by the
@@ -502,18 +475,6 @@ impl VerdictTable {
         })
     }
 
-    /// Number of recorded pairs.
-    #[must_use]
-    pub fn num_pairs(&self) -> usize {
-        self.pair_starts.len()
-    }
-
-    /// Whether the table holds no pairs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pair_starts.is_empty()
-    }
-
     /// Concatenates another table's rows after this one's (shards partition
     /// the pair space, so keys never collide).
     fn merge_from(&mut self, shard: VerdictTable) {
@@ -660,19 +621,6 @@ impl HlhK {
         }
     }
 
-    /// The `k` of this level.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Whether occurrences record their instance bindings (`false` for
-    /// terminal levels).
-    #[must_use]
-    pub fn records_bindings(&self) -> bool {
-        self.record_bindings
-    }
-
     /// The level-2 relation verdict side table (empty for k ≥ 3 levels and
     /// for runs that never reach level 3).
     #[must_use]
@@ -770,18 +718,6 @@ impl HlhK {
     // lint: hot-path
     pub fn binding(&self, id: u32) -> &[EventInstance] {
         &self.pool[id as usize * self.k..][..self.k]
-    }
-
-    /// The bindings of pattern `id` in `granule`, as instance slices.
-    pub fn bindings_at(
-        &self,
-        id: PatternId,
-        granule: GranulePos,
-    ) -> impl Iterator<Item = &[EventInstance]> + '_ {
-        self.pattern(id)
-            .binding_ids_at(granule)
-            .iter()
-            .map(move |&b| self.binding(b))
     }
 
     /// Adds one occurrence of a candidate pattern of the open group. Within
@@ -1004,14 +940,6 @@ impl HlhK {
         &self.patterns
     }
 
-    /// The pattern entries belonging to one group, looked up by its events.
-    #[must_use]
-    pub fn patterns_of_group(&self, events: &[EventLabel]) -> Vec<&PatternEntry> {
-        self.group(events)
-            .map(|g| g.patterns.iter().map(|&id| self.pattern(id)).collect())
-            .unwrap_or_default()
-    }
-
     /// Whether any candidate pattern of this level relates the two events
     /// (in either orientation). This is the lookup behind the transitivity
     /// pruning (Lemma 4) and the iterative verification of Section IV-D.
@@ -1031,12 +959,6 @@ impl HlhK {
     #[must_use]
     pub fn num_groups(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Number of candidate patterns.
-    #[must_use]
-    pub fn num_patterns(&self) -> usize {
-        self.patterns.len()
     }
 
     /// Whether the level holds no candidate patterns.
@@ -1547,10 +1469,11 @@ mod tests {
         assert!(!hlh1.is_empty());
         let c1 = label(0, 1);
         assert_eq!(hlh1.support(c1), &[1, 2]);
-        assert_eq!(hlh1.instances_at(c1, 1).len(), 1);
-        assert_eq!(hlh1.instances_at(c1, 1)[0].interval, Interval::new(1, 2));
-        assert_eq!(hlh1.instances_at(c1, 3).len(), 0);
-        assert!(hlh1.entry(c1).is_some());
+        // Granule 1 is support[0]: one instance, in the CSR slice.
+        let entry = hlh1.entry(c1).unwrap();
+        assert_eq!(entry.instances_at_index(0).len(), 1);
+        assert_eq!(entry.instances_at_index(0)[0].interval, Interval::new(1, 2));
+        assert_eq!(entry.instances_at_index(1).len(), 1);
         assert!(hlh1.entry(label(5, 0)).is_none());
         assert!(hlh1.footprint_bytes() > 0);
         // The cached label list is sorted and complete.
@@ -1586,14 +1509,12 @@ mod tests {
             .unwrap();
         let hlh1 = Hlh1::build(&dseq, &config(1, 1), false);
         let entry = hlh1.entry(label(0, 1)).unwrap();
-        assert_eq!(hlh1.instances_at(label(0, 1), 1).len(), 2);
         assert_eq!(entry.instances_at_index(0).len(), 2);
     }
 
     #[test]
     fn hlhk_group_and_pattern_bookkeeping() {
         let mut hlh2 = HlhK::new(2);
-        assert_eq!(hlh2.k(), 2);
         let group = vec![label(0, 1), label(1, 1)];
         let gid = hlh2.begin_group(&group, &[1, 2, 4]);
         let pattern =
@@ -1612,19 +1533,17 @@ mod tests {
         assert_eq!(hlh2.group(&group).unwrap().support, vec![1, 2, 4]);
         assert!(hlh2.group(&[label(0, 0)]).is_none());
 
-        assert_eq!(hlh2.num_patterns(), 1);
+        assert_eq!(hlh2.patterns().len(), 1);
         let entry = hlh2.pattern(pid);
         assert_eq!(entry.support, vec![1, 4]);
         assert_eq!(entry.num_bindings(), 3);
-        assert_eq!(hlh2.bindings_at(pid, 1).count(), 2);
-        assert_eq!(hlh2.bindings_at(pid, 4).count(), 1);
-        assert_eq!(hlh2.bindings_at(pid, 2).count(), 0);
-        // Every stored binding is the instance pair, in event order.
-        for slice in hlh2.bindings_at(pid, 1) {
-            assert_eq!(slice, &binding);
-        }
         assert_eq!(entry.binding_ids_at_index(0).len(), 2);
-        assert_eq!(hlh2.patterns_of_group(&group).len(), 1);
+        assert_eq!(entry.binding_ids_at_index(1).len(), 1);
+        // Every stored binding is the instance pair, in event order.
+        for &b in entry.binding_ids_at_index(0) {
+            assert_eq!(hlh2.binding(b), &binding);
+        }
+        assert_eq!(hlh2.group(&group).unwrap().patterns, vec![pid]);
         assert!(hlh2.has_relation_between(label(0, 1), label(1, 1)));
         assert!(hlh2.has_relation_between(label(1, 1), label(0, 1)));
         assert!(!hlh2.has_relation_between(label(0, 1), label(0, 0)));
@@ -1667,7 +1586,7 @@ mod tests {
         let again = hlh3.add_pattern_occurrence(7, &codes, || unreachable!(), 2, &binding, last);
         assert_eq!(again, a);
         hlh3.end_group();
-        assert_eq!(hlh3.num_patterns(), 2);
+        assert_eq!(hlh3.patterns().len(), 2);
         assert_eq!(hlh3.pattern(a).support, vec![1, 2]);
         hlh3.validate().unwrap();
     }
@@ -1720,7 +1639,7 @@ mod tests {
             }
         }
         hlh3.end_group();
-        assert_eq!(hlh3.num_patterns(), 36);
+        assert_eq!(hlh3.patterns().len(), 36);
         hlh3.validate().unwrap();
     }
 
@@ -1826,14 +1745,13 @@ mod tests {
         add(&mut hlh2, &weak, 3, &binding);
         hlh2.end_group();
 
-        assert_eq!(hlh2.num_patterns(), 2);
+        assert_eq!(hlh2.patterns().len(), 2);
         let footprint_before = hlh2.footprint_bytes();
         let removed = hlh2.retain_candidates(&cfg);
         assert_eq!(removed, 1);
-        assert_eq!(hlh2.num_patterns(), 1);
+        assert_eq!(hlh2.patterns().len(), 1);
         assert_eq!(hlh2.patterns()[0].pattern, strong);
-        assert!(hlh2.patterns_of_group(&group_b).is_empty());
-        assert_eq!(hlh2.patterns_of_group(&group_a).len(), 1);
+        assert_eq!(hlh2.group(&group_a).unwrap().patterns, vec![PatternId(0)]);
         // group_b lost its last pattern: it is gone from the group table too,
         // so group counts and footprints only reflect live candidates.
         assert_eq!(hlh2.num_groups(), 1);
@@ -1842,7 +1760,7 @@ mod tests {
         assert!(hlh2.footprint_bytes() < footprint_before);
         // The pool was compacted alongside (2 surviving bindings × k = 2).
         assert_eq!(hlh2.pool.len(), 4);
-        assert_eq!(hlh2.bindings_at(PatternId(0), 2).count(), 1);
+        assert_eq!(hlh2.pattern(PatternId(0)).binding_ids_at_index(1).len(), 1);
         hlh2.validate().unwrap();
         // Retaining again removes nothing.
         assert_eq!(hlh2.retain_candidates(&cfg), 0);
@@ -1915,10 +1833,10 @@ mod tests {
         assert_eq!(counted.groups, 2);
         assert_eq!(counted.patterns, 3);
         assert_eq!(counted.groups, compacted.num_groups());
-        assert_eq!(counted.patterns, compacted.num_patterns());
+        assert_eq!(counted.patterns, compacted.patterns().len());
         assert_eq!(counted.footprint_bytes, compacted.footprint_bytes());
         // Counting everything is the level's own summary.
-        assert_eq!(level.summary().patterns, level.num_patterns());
+        assert_eq!(level.summary().patterns, level.patterns().len());
         assert_eq!(level.summary().footprint_bytes, level.footprint_bytes());
         // Frequent ⇒ candidate: every pattern the retain kept is one the
         // count-only path visits in the same relative order.
@@ -2021,18 +1939,16 @@ mod tests {
         let merged = HlhK::merge_shards(2, vec![shard1, shard2]);
         merged.validate().unwrap();
         assert_eq!(merged.num_groups(), 2);
-        assert_eq!(merged.num_patterns(), 2);
+        assert_eq!(merged.patterns().len(), 2);
         // Shard order is preserved in the pattern arena.
         assert_eq!(merged.patterns()[0].pattern, pattern_a);
         assert_eq!(merged.patterns()[1].pattern, pattern_b);
         // Group → pattern ids were remapped across the concatenation, and
         // binding ids still resolve into the concatenated pool.
-        assert_eq!(merged.patterns_of_group(&group_b)[0].pattern, pattern_b);
-        assert_eq!(merged.bindings_at(PatternId(1), 3).count(), 1);
-        assert_eq!(
-            merged.bindings_at(PatternId(1), 3).next().unwrap(),
-            &binding(1, 1)
-        );
+        assert_eq!(merged.group(&group_b).unwrap().patterns, vec![PatternId(1)]);
+        let ids = merged.pattern(PatternId(1)).binding_ids_at_index(0);
+        assert_eq!(ids.len(), 1);
+        assert_eq!(merged.binding(ids[0]), &binding(1, 1));
         assert!(merged.has_relation_between(label(0, 1), label(1, 1)));
 
         // Merging empty shards yields an empty level.

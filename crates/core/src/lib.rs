@@ -112,8 +112,6 @@ pub use relation::{classify_relation, RelationKind};
 pub use report::{
     canonical_result_set, LevelStats, MinedEvent, MinedPattern, MiningReport, MiningStats,
 };
-pub use season::{
-    find_seasons, seasons_count, support_is_frequent, SeasonSet, SeasonTracker, Seasons,
-};
+pub use season::{find_seasons, seasons_count, support_is_frequent, SeasonTracker, Seasons};
 pub use snapshot::{CheckpointMeta, WalContents, SNAPSHOT_VERSION, WAL_VERSION};
 pub use streaming::{StreamingMiner, STREAMING_ENGINE_NAME};

@@ -47,9 +47,9 @@
 //! * relation verdicts between a binding member and an extension-event
 //!   instance are looked up in the [`VerdictTable`](crate::hlh::VerdictTable)
 //!   recorded while mining level 2 (counted in
-//!   [`LevelStats::classifier_calls_saved`]); the closed-form classifier
-//!   remains as the fallback for unrecorded pairs and as the debug-build
-//!   cross-check. The granules of one (pattern, `E_k`) walk ascend, so each
+//!   [`LevelStats::classifier_calls_saved`]). The table covers every cell
+//!   the loop probes, so it is the only verdict source; the closed-form
+//!   classifier remains as the debug-build cross-check. The granules of one (pattern, `E_k`) walk ascend, so each
 //!   member's verdict block and `HLH_1` instance slice are reached by
 //!   forward cursors ([`SupportCursor`]) instead of a binary search per
 //!   granule;
@@ -448,8 +448,12 @@ impl ExactRun<'_> {
     ///
     /// Unless `terminal`, every cross-product cell's verdict — including the
     /// "no relation" outcome — is appended to the verdict table in row-major
-    /// (`ei`-instance × `ej`-instance) order, giving the k ≥ 3 loop complete
-    /// coverage of every pair it can ever probe.
+    /// (`ei`-instance × `ej`-instance) order. This covers every cell the
+    /// k ≥ 3 loop can probe: it probes a (member, `E_k`) pair only at granules
+    /// of a k-group support, which lies inside the pair's intersection, and a
+    /// pair is skipped here only when that intersection is empty or, under
+    /// Apriori, too short to be a candidate — then so is every k-group
+    /// support inside it.
     fn mine_pairs_chunk(
         &self,
         hlh1: &Hlh1,
@@ -616,9 +620,10 @@ impl ExactRun<'_> {
     /// are read from the level-2 verdict table: the pair handle is resolved
     /// once per (group, `E_k`), the granule block once per granule by a
     /// forward cursor, and the member's row once per binding, so the
-    /// per-cell cost is one byte load. Cells the table does not cover fall
-    /// back to the closed-form classifier; in debug builds every hit is
-    /// cross-checked against it.
+    /// per-cell cost is one byte load. The table covers every cell this loop
+    /// probes (see [`Self::mine_pairs_chunk`]), so a missing pair, granule or
+    /// instance row is a broken invariant and panics; debug builds also
+    /// cross-check every verdict against the closed-form classifier.
     #[allow(clippy::too_many_arguments)]
     fn mine_k_events_chunk(
         &self,
@@ -648,12 +653,12 @@ impl ExactRun<'_> {
         // candidates.
         let mut member_rows: Vec<&[u64]> = Vec::new();
         let mut member_entries: Vec<&EventEntry> = Vec::new();
-        let mut member_pairs: Vec<Option<PairVerdicts<'_>>> = Vec::new();
+        let mut member_pairs: Vec<PairVerdicts<'_>> = Vec::new();
         // Per member: cursors over the pair's verdict granules and over the
         // member's HLH_1 support, restarted for every (pattern, E_k) walk.
         let mut member_cursors: Vec<(SupportCursor, SupportCursor)> = Vec::new();
-        let mut member_blocks: Vec<Option<(&[u8], &[EventInstance])>> = Vec::new();
-        let mut binding_rows: Vec<Option<&[u8]>> = Vec::new();
+        let mut member_blocks: Vec<(&[u8], &[EventInstance])> = Vec::new();
+        let mut binding_rows: Vec<&[u8]> = Vec::new();
         for &group_entry in groups {
             let group_events = &group_entry.events;
             let last = *group_events.last().expect("groups are non-empty");
@@ -703,11 +708,18 @@ impl ExactRun<'_> {
                 scratch.events.extend_from_slice(group_events);
                 scratch.events.push(ek);
                 hlhk.begin_group(&scratch.events, &scratch.group_support);
-                // Verdict-table pair handles, one per member (every member
-                // label is smaller than E_k, matching the recorded order).
+                // Verdict-table pair handles, one per member. Level 2
+                // recorded every pair with a candidate support intersection,
+                // and (member, E_k)'s intersection contains this group's
+                // support, which is non-empty and (under Apriori) a
+                // candidate, since `is_candidate` is monotone in length.
                 member_pairs.clear();
                 for &member in group_events {
-                    member_pairs.push(verdicts.pair(member, ek));
+                    member_pairs.push(
+                        verdicts
+                            .pair(member, ek)
+                            .expect("level 2 recorded every (member, E_k) pair"),
+                    );
                 }
 
                 for &pid in &group_entry.patterns {
@@ -731,26 +743,27 @@ impl ExactRun<'_> {
                         member_blocks.clear();
                         for (idx, entry) in member_entries.iter().enumerate() {
                             let (pair_cursor, instance_cursor) = &mut member_cursors[idx];
-                            member_blocks.push(member_pairs[idx].and_then(|pair| {
-                                let block = pair.block_at_cursor(pair_cursor, granule)?;
-                                let instances = entry.instances_at_cursor(instance_cursor, granule);
-                                debug_assert_eq!(
-                                    block.len(),
-                                    instances.len() * cols,
-                                    "verdict blocks cover the full cross-product"
-                                );
-                                Some((block, instances))
-                            }));
+                            // The granule lies in the pattern's support, so in
+                            // the (member, E_k) intersection level 2 walked.
+                            let block = member_pairs[idx]
+                                .block_at_cursor(pair_cursor, granule)
+                                .expect("level 2 recorded every shared granule of a pair");
+                            let instances = entry.instances_at_cursor(instance_cursor, granule);
+                            debug_assert_eq!(
+                                block.len(),
+                                instances.len() * cols,
+                                "verdict blocks cover the full cross-product"
+                            );
+                            member_blocks.push((block, instances));
                         }
                         // A member whose verdict block holds no relation at
                         // all at this granule vetoes every binding × E_k
                         // instance below — one byte scan per block decides
-                        // before any binding is enumerated. Uncovered
-                        // members (`None`) fall back to the classifier and
-                        // cannot be skipped.
-                        if member_blocks.iter().any(|blk| {
-                            matches!(blk, Some((block, _)) if block.iter().all(|&v| v == VERDICT_NONE))
-                        }) {
+                        // before any binding is enumerated.
+                        if member_blocks
+                            .iter()
+                            .any(|(block, _)| block.iter().all(|&v| v == VERDICT_NONE))
+                        {
                             continue;
                         }
                         for &bid in pattern_entry.binding_ids_at_index(scratch.pos_a[m] as usize) {
@@ -759,42 +772,32 @@ impl ExactRun<'_> {
                             // this binding (instances per granule are few,
                             // so the position scan is one or two compares).
                             binding_rows.clear();
-                            for (idx, bound) in binding.iter().enumerate() {
-                                binding_rows.push(member_blocks[idx].and_then(
-                                    |(block, instances)| {
-                                        let row = instances.iter().position(|x| x == bound)?;
-                                        Some(&block[row * cols..(row + 1) * cols])
-                                    },
-                                ));
+                            for (&(block, instances), bound) in member_blocks.iter().zip(binding) {
+                                let row = instances
+                                    .iter()
+                                    .position(|x| x == bound)
+                                    .expect("a bound instance sits in its member's granule slice");
+                                binding_rows.push(&block[row * cols..(row + 1) * cols]);
                             }
                             'instances: for (ek_idx, ek_instance) in ek_instances.iter().enumerate()
                             {
                                 debug_assert!(!binding.contains(ek_instance), "E_k is new");
                                 scratch.codes.clear();
-                                for (idx, bound) in binding.iter().enumerate() {
-                                    let idx_u8 = u8::try_from(idx).expect("pattern length fits u8");
-                                    let code = match binding_rows[idx] {
-                                        Some(row) => {
-                                            counters.classifier_calls_saved += 1;
-                                            debug_assert_eq!(
-                                                row[ek_idx],
-                                                self.classify_verdict(
-                                                    bound,
-                                                    ek_instance,
-                                                    idx_u8,
-                                                    new_index
-                                                ),
-                                                "verdict table diverged from the classifier"
-                                            );
-                                            row[ek_idx]
-                                        }
-                                        None => self.classify_verdict(
+                                for (idx, (row, bound)) in
+                                    binding_rows.iter().zip(binding).enumerate()
+                                {
+                                    let code = row[ek_idx];
+                                    counters.classifier_calls_saved += 1;
+                                    debug_assert_eq!(
+                                        code,
+                                        self.classify_verdict(
                                             bound,
                                             ek_instance,
-                                            idx_u8,
-                                            new_index,
+                                            u8::try_from(idx).expect("pattern length fits u8"),
+                                            new_index
                                         ),
-                                    };
+                                        "verdict table diverged from the classifier"
+                                    );
                                     if code == VERDICT_NONE {
                                         continue 'instances;
                                     }
@@ -826,8 +829,8 @@ impl ExactRun<'_> {
     /// [`encode_verdict`] byte ([`VERDICT_NONE`] when no relation holds):
     /// `a` is the event at pattern index `idx`, `b` the one at `new_index`,
     /// and the verdict is swapped when `b`'s instance comes first. This is
-    /// what level 2 records and what level k falls back to for cells the
-    /// verdict table does not cover.
+    /// what level 2 records, and the reference level k's table lookups are
+    /// checked against in debug builds.
     // lint: hot-path
     fn classify_verdict(&self, a: &EventInstance, b: &EventInstance, idx: u8, new_index: u8) -> u8 {
         let in_order = chronological_order(&a.interval, &b.interval, idx, new_index);

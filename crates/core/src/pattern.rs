@@ -35,12 +35,6 @@ impl RelationTriple {
         }
     }
 
-    /// Whether the triple involves the event at `index`.
-    #[must_use]
-    pub fn involves(&self, index: u8) -> bool {
-        self.first == index || self.second == index
-    }
-
     /// The unordered pair of event indices, smaller first.
     #[must_use]
     pub fn pair(&self) -> (u8, u8) {
@@ -267,12 +261,6 @@ impl TemporalPattern {
         self.events.is_empty()
     }
 
-    /// Whether `event` occurs in the pattern (the paper's `E_i ∈ P`).
-    #[must_use]
-    pub fn contains_event(&self, event: EventLabel) -> bool {
-        self.events.contains(&event)
-    }
-
     /// Extends the pattern with a new event and the relation triples that
     /// connect every existing event to it. `new_triples[i]` is the oriented
     /// relation between event `i` and the new event.
@@ -283,43 +271,6 @@ impl TemporalPattern {
         let mut triples = self.triples.clone();
         triples.extend(new_triples);
         Self::from_parts(events, triples)
-    }
-
-    /// The relation triple between the events at indices `i` and `j`, if any.
-    #[must_use]
-    pub fn relation_between(&self, i: u8, j: u8) -> Option<&RelationTriple> {
-        let pair = if i <= j { (i, j) } else { (j, i) };
-        self.triples.iter().find(|t| t.pair() == pair)
-    }
-
-    /// Whether `other` is a sub-pattern of `self` (`P_1 ⊆ P`): every event of
-    /// `other` appears in `self` and every triple of `other` appears (same
-    /// relation, same oriented event pair) in `self`.
-    #[must_use]
-    pub fn is_sub_pattern_of(&self, other: &TemporalPattern) -> bool {
-        // `self ⊆ other` : map each of self's events to other's indices.
-        let mapping: Option<Vec<u8>> = self
-            .events
-            .iter()
-            .map(|e| {
-                other
-                    .events
-                    .iter()
-                    .position(|o| o == e)
-                    .map(|i| u8::try_from(i).expect("pattern length fits u8"))
-            })
-            .collect();
-        let Some(mapping) = mapping else {
-            return false;
-        };
-        self.triples.iter().all(|t| {
-            let first = mapping[t.first as usize];
-            let second = mapping[t.second as usize];
-            other
-                .triples
-                .iter()
-                .any(|o| o.relation == t.relation && o.first == first && o.second == second)
-        })
     }
 
     /// Human-readable rendering, e.g. `"C:1 ≽ D:1"` for pairs or the triple
@@ -378,8 +329,7 @@ mod tests {
         let p = TemporalPattern::single(label(0, 1));
         assert_eq!(p.len(), 1);
         assert!(p.triples().is_empty());
-        assert!(p.contains_event(label(0, 1)));
-        assert!(!p.contains_event(label(1, 1)));
+        assert_eq!(p.events(), &[label(0, 1)]);
         assert_eq!(p.display(&registry()), "C:1");
     }
 
@@ -405,10 +355,12 @@ mod tests {
         );
         assert_eq!(extended.len(), 3);
         assert_eq!(extended.triples().len(), 3);
-        assert!(extended.relation_between(0, 1).is_some());
-        assert!(extended.relation_between(0, 2).is_some());
-        assert!(extended.relation_between(2, 1).is_some());
-        assert!(extended.relation_between(1, 1).is_none());
+        let pairs: Vec<(u8, u8)> = extended
+            .triples()
+            .iter()
+            .map(RelationTriple::pair)
+            .collect();
+        assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2)]);
         let text = extended.display(&registry());
         assert!(text.contains("Contains"));
         assert!(text.contains("F:1"));
@@ -433,29 +385,6 @@ mod tests {
             ],
         );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sub_pattern_detection() {
-        let pair = TemporalPattern::pair([label(0, 1), label(1, 1)], RelationKind::Contains, false);
-        let triple = pair.extended(
-            label(2, 1),
-            vec![
-                RelationTriple::new(RelationKind::Follows, 0, 2),
-                RelationTriple::new(RelationKind::Follows, 1, 2),
-            ],
-        );
-        assert!(pair.is_sub_pattern_of(&triple));
-        assert!(!triple.is_sub_pattern_of(&pair));
-        assert!(pair.is_sub_pattern_of(&pair));
-
-        let other_pair =
-            TemporalPattern::pair([label(0, 1), label(1, 1)], RelationKind::Follows, false);
-        assert!(!other_pair.is_sub_pattern_of(&triple));
-
-        let single = TemporalPattern::single(label(1, 1));
-        assert!(single.is_sub_pattern_of(&triple));
-        assert!(!TemporalPattern::single(label(2, 0)).is_sub_pattern_of(&triple));
     }
 
     #[test]
@@ -523,9 +452,6 @@ mod tests {
     #[test]
     fn relation_triple_helpers() {
         let t = RelationTriple::new(RelationKind::Overlaps, 2, 1);
-        assert!(t.involves(1));
-        assert!(t.involves(2));
-        assert!(!t.involves(0));
         assert_eq!(t.pair(), (1, 2));
     }
 

@@ -517,25 +517,6 @@ pub fn near_support_sets(support: &[GranulePos], max_period: u64) -> Vec<Vec<Gra
     sets
 }
 
-/// Seasonality summary of a support set: season count plus the seasons
-/// themselves, kept as a named pair for report ergonomics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeasonSet {
-    /// The support set the seasons were derived from.
-    pub support: Vec<GranulePos>,
-    /// The derived seasons.
-    pub seasons: Seasons,
-}
-
-impl SeasonSet {
-    /// Derives the seasons of `support` under `config`.
-    #[must_use]
-    pub fn derive(support: Vec<GranulePos>, config: &ResolvedConfig) -> Self {
-        let seasons = find_seasons(&support, config);
-        Self { support, seasons }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Structural validation (see the `invariants` module).
 // ---------------------------------------------------------------------------
@@ -916,13 +897,5 @@ mod tests {
         let seasons = tracker.snapshot(&support, &cfg);
         assert_eq!(seasons.num_seasons(), 2, "the lone tail granule is sparse");
         assert_eq!(tracker.count(support.len(), &cfg), 2);
-    }
-
-    #[test]
-    fn season_set_derive_keeps_support() {
-        let cfg = config(2, 2, (1, 10), 1);
-        let set = SeasonSet::derive(vec![1, 2, 3, 8, 9], &cfg);
-        assert_eq!(set.support, vec![1, 2, 3, 8, 9]);
-        assert_eq!(set.seasons.num_seasons(), 2);
     }
 }

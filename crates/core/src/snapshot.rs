@@ -387,11 +387,6 @@ impl<'a> ByteReader<'a> {
         Ok(byte)
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn take_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take_array()?))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn take_u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take_array()?))
@@ -1749,7 +1744,7 @@ mod tests {
         w.put_str("hello κόσμε");
         let mut r = ByteReader::new(w.bytes(), "test");
         assert_eq!(r.take_u8().unwrap(), 7);
-        assert_eq!(r.take_u16().unwrap(), 1000);
+        assert_eq!(u16::from_le_bytes(r.take_array().unwrap()), 1000);
         assert_eq!(r.take_u32().unwrap(), 70_000);
         assert_eq!(r.take_u64().unwrap(), 1 << 40);
         assert_eq!(r.take_f64().unwrap(), 0.005);

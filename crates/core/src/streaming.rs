@@ -77,9 +77,7 @@ use crate::support::SupportSet;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-use stpm_timeseries::{
-    EventInstance, EventLabel, EventRegistry, GranulePos, SequenceDatabase, TemporalSequence,
-};
+use stpm_timeseries::{EventInstance, EventLabel, EventRegistry, GranulePos, TemporalSequence};
 
 /// Display name the streaming engine reports.
 pub const STREAMING_ENGINE_NAME: &str = "S-STPM";
@@ -688,25 +686,6 @@ impl StreamingMiner {
         chunks.into_iter().flatten().collect()
     }
 
-    /// Absorbs the granules of `dseq` beyond the already-absorbed prefix — a
-    /// convenience for callers that maintain a growing [`SequenceDatabase`].
-    ///
-    /// # Errors
-    /// [`Error::StreamAppend`] when `dseq` is shorter than the absorbed
-    /// prefix; otherwise as [`StreamingMiner::append_batch`].
-    pub fn absorb(&mut self, dseq: &SequenceDatabase) -> Result<()> {
-        let absorbed = usize::try_from(self.num_granules).expect("granule count fits usize");
-        if dseq.sequences().len() < absorbed {
-            return Err(Error::StreamAppend {
-                reason: format!(
-                    "database holds {} granules but {absorbed} were already absorbed",
-                    dseq.sequences().len()
-                ),
-            });
-        }
-        self.append_batch(&dseq.sequences()[absorbed..])
-    }
-
     /// Emits the frequent seasonal events and patterns of the absorbed
     /// prefix — exactly what a batch re-mine of the same prefix reports
     /// (patterns, supports, seasons and counts; the order within a level is
@@ -930,7 +909,7 @@ mod tests {
     use super::*;
     use crate::config::Threshold;
     use crate::miner::StpmMiner;
-    use stpm_timeseries::{Alphabet, SymbolicDatabase, SymbolicSeries};
+    use stpm_timeseries::{Alphabet, SequenceDatabase, SymbolicDatabase, SymbolicSeries};
 
     /// The paper's running example (Table II), 14 granules of 3 instants.
     fn paper_dseq() -> SequenceDatabase {
@@ -1024,8 +1003,8 @@ mod tests {
         let err = miner.append_batch(&dseq.sequences()[4..6]).unwrap_err();
         assert!(matches!(err, Error::StreamAppend { .. }));
         assert_eq!(miner.num_granules(), 3);
-        // Absorb picks up exactly where the state left off.
-        miner.absorb(&dseq).unwrap();
+        // The next batch picks up exactly where the state left off.
+        miner.append_batch(&dseq.sequences()[3..]).unwrap();
         assert_eq!(miner.num_granules(), 14);
         assert_matches_batch(&dseq, &config, 14);
     }
@@ -1035,12 +1014,12 @@ mod tests {
         let dseq = paper_dseq();
         let config = paper_config();
         let mut sequential = StreamingMiner::new(&config, dseq.registry()).unwrap();
-        sequential.absorb(&dseq).unwrap();
+        sequential.append_batch(dseq.sequences()).unwrap();
         let reference = sequential.checkpoint().unwrap();
         for threads in [2, 4, 7] {
             let threaded_config = config.clone().with_threads(threads);
             let mut miner = StreamingMiner::new(&threaded_config, dseq.registry()).unwrap();
-            miner.absorb(&dseq).unwrap();
+            miner.append_batch(dseq.sequences()).unwrap();
             let report = miner.checkpoint().unwrap();
             assert_eq!(report.events(), reference.events());
             assert_eq!(report.patterns(), reference.patterns());

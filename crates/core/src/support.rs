@@ -111,15 +111,6 @@ fn intersect_with<F: FnMut(GranulePos, usize, usize)>(
     }
 }
 
-/// Intersects two sorted support sets (the `SUP(E_1,…,E_{k-1}) ∩ SUP(E_k)`
-/// step of Section IV-D 4.1).
-#[must_use]
-pub fn intersect(a: &[GranulePos], b: &[GranulePos]) -> SupportSet {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    intersect_into(&mut out, a, b);
-    out
-}
-
 /// Intersects two sorted support sets into `out`, clearing it first — the
 /// allocation-free form the miner threads its per-shard scratch buffers
 /// through. Skewed sizes are intersected by galloping, balanced ones by a
@@ -156,51 +147,6 @@ pub fn intersect_positions_into(
         pos_a.push(u32::try_from(i).expect("support position fits u32"));
         pos_b.push(u32::try_from(j).expect("support position fits u32"));
     });
-}
-
-/// Unions two sorted support sets (used when merging per-relation supports
-/// back into a group-level support).
-#[must_use]
-pub fn union(a: &[GranulePos], b: &[GranulePos]) -> SupportSet {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Inserts a granule keeping the set sorted and duplicate-free. Appending in
-/// increasing order (the common case during the single database scan) is
-/// O(1).
-// lint: hot-path
-pub fn insert_sorted(set: &mut SupportSet, granule: GranulePos) {
-    match set.last() {
-        None => set.push(granule),
-        Some(last) if *last < granule => set.push(granule),
-        Some(last) if *last == granule => {}
-        _ => {
-            if let Err(pos) = set.binary_search(&granule) {
-                set.insert(pos, granule);
-            }
-        }
-    }
 }
 
 /// Bitwise-AND intersection of equal-length bitset rows into `out`, clearing
@@ -256,22 +202,17 @@ pub fn iter_set_bits(words: &[u64], from: usize) -> impl Iterator<Item = usize> 
     })
 }
 
-/// Relative support of a support set in a database of `dseq_len` granules.
-#[must_use]
-pub fn relative_support(set: &[GranulePos], dseq_len: u64) -> f64 {
-    if dseq_len == 0 {
-        0.0
-    } else {
-        set.len() as f64 / dseq_len as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn intersection_of_sorted_sets() {
+        let intersect = |a: &[u64], b: &[u64]| {
+            let mut out = Vec::new();
+            intersect_into(&mut out, a, b);
+            out
+        };
         assert_eq!(intersect(&[1, 2, 3, 7, 8], &[2, 3, 4, 8, 9]), vec![2, 3, 8]);
         assert_eq!(intersect(&[1, 2], &[3, 4]), Vec::<u64>::new());
         assert_eq!(intersect(&[], &[1, 2]), Vec::<u64>::new());
@@ -350,26 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn union_of_sorted_sets() {
-        assert_eq!(union(&[1, 3, 5], &[2, 3, 6]), vec![1, 2, 3, 5, 6]);
-        assert_eq!(union(&[], &[1]), vec![1]);
-        assert_eq!(union(&[1], &[]), vec![1]);
-        assert_eq!(union(&[], &[]), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn insert_sorted_keeps_invariants() {
-        let mut set = vec![];
-        insert_sorted(&mut set, 5);
-        insert_sorted(&mut set, 7);
-        insert_sorted(&mut set, 7);
-        insert_sorted(&mut set, 3);
-        insert_sorted(&mut set, 6);
-        insert_sorted(&mut set, 3);
-        assert_eq!(set, vec![3, 5, 6, 7]);
-    }
-
-    #[test]
     fn bitset_row_intersection_and_iteration() {
         let a = [0b1011u64, u64::MAX];
         let b = [0b1110u64, 1 << 63];
@@ -390,12 +311,5 @@ mod tests {
         let c = [0u64, 0b101u64];
         assert_eq!(iter_set_bits(&c, 64).collect::<Vec<_>>(), vec![64, 66]);
         assert_eq!(iter_set_bits(&c, 65).collect::<Vec<_>>(), vec![66]);
-    }
-
-    #[test]
-    fn relative_support_bounds() {
-        assert!((relative_support(&[1, 2, 3], 10) - 0.3).abs() < 1e-12);
-        assert_eq!(relative_support(&[1, 2], 0), 0.0);
-        assert_eq!(relative_support(&[], 10), 0.0);
     }
 }

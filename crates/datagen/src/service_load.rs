@@ -83,23 +83,6 @@ pub struct ServiceLoad {
     pub arrivals: Vec<(usize, usize)>,
 }
 
-impl ServiceLoad {
-    /// Total batches across all tenants (the length of the schedule).
-    #[must_use]
-    pub fn total_batches(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Total granules across all tenants.
-    #[must_use]
-    pub fn total_granules(&self) -> u64 {
-        self.tenants
-            .iter()
-            .map(|t| t.dataset.dsyb.len() as u64 / t.dataset.mapping_factor.max(1))
-            .sum()
-    }
-}
-
 /// Generates the workload of `spec`. Deterministic: equal specs yield
 /// byte-identical workloads (data, names, and arrival order).
 ///

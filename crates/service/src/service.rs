@@ -624,12 +624,6 @@ impl Service {
             let _ = handle.join();
         }
     }
-
-    /// Whether the service still admits new requests.
-    #[must_use]
-    pub fn is_running(&self) -> bool {
-        self.inner.run_state() == STATE_RUNNING
-    }
 }
 
 impl Drop for Service {

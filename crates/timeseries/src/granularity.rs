@@ -1,358 +1,9 @@
-//! Time domain, time granularities and the granularity hierarchy
-//! (Definitions 3.1–3.4 of the paper).
+//! Granule positions (Definition 3.2 of the paper).
 //!
-//! A [`TimeDomain`] is an ordered set of time instants isomorphic to the
-//! natural numbers, measured in a [`TimeUnit`]. A [`Granularity`] is a
-//! complete, non-overlapping, equal partitioning of the domain into
-//! *granules*; the position of a granule is its 1-based index. A
-//! [`GranularityHierarchy`] stacks granularities from finest to coarsest,
-//! where each coarser level is `m`-Finer-related to the level below it.
-
-use crate::error::{Error, Result};
-use std::fmt;
+//! The time model is implicit: every series is sampled at the finest
+//! granularity `G`, and a pipeline groups `m` adjacent instants of `G` into
+//! one granule of the coarser granularity `H` (the mapping factor of
+//! [`SymbolicDatabase::to_sequence_database`](crate::SymbolicDatabase::to_sequence_database)).
 
 /// Position of a granule within a granularity (1-based, Definition 3.2).
 pub type GranulePos = u64;
-
-/// The unit in which time instants of a [`TimeDomain`] are measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TimeUnit {
-    /// One second per instant.
-    Second,
-    /// One minute per instant.
-    Minute,
-    /// One hour per instant.
-    Hour,
-    /// One day per instant.
-    Day,
-    /// One week per instant.
-    Week,
-    /// An application-defined unit expressed in seconds.
-    Custom(u64),
-}
-
-impl TimeUnit {
-    /// Number of seconds represented by one instant of this unit.
-    #[must_use]
-    pub fn seconds(&self) -> u64 {
-        match self {
-            TimeUnit::Second => 1,
-            TimeUnit::Minute => 60,
-            TimeUnit::Hour => 3_600,
-            TimeUnit::Day => 86_400,
-            TimeUnit::Week => 604_800,
-            TimeUnit::Custom(s) => *s,
-        }
-    }
-}
-
-impl fmt::Display for TimeUnit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TimeUnit::Second => write!(f, "second"),
-            TimeUnit::Minute => write!(f, "minute"),
-            TimeUnit::Hour => write!(f, "hour"),
-            TimeUnit::Day => write!(f, "day"),
-            TimeUnit::Week => write!(f, "week"),
-            TimeUnit::Custom(s) => write!(f, "{s}s-unit"),
-        }
-    }
-}
-
-/// A time domain: an ordered set of `len` time instants measured in `unit`
-/// (Definition 3.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimeDomain {
-    unit: TimeUnit,
-    len: u64,
-}
-
-impl TimeDomain {
-    /// Creates a time domain of `len` instants measured in `unit`.
-    #[must_use]
-    pub fn new(unit: TimeUnit, len: u64) -> Self {
-        Self { unit, len }
-    }
-
-    /// The time unit of the domain.
-    #[must_use]
-    pub fn unit(&self) -> TimeUnit {
-        self.unit
-    }
-
-    /// Number of time instants in the domain.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the domain contains no instants.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// A time granularity: a complete and non-overlapping equal partitioning of a
-/// time domain (Definition 3.2). `width` is the number of *finest-level time
-/// instants* contained in one granule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Granularity {
-    name: String,
-    width: u64,
-}
-
-impl Granularity {
-    /// Creates a granularity whose granules each span `width` time instants.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidGranularity`] if `width` is zero.
-    pub fn new(name: impl Into<String>, width: u64) -> Result<Self> {
-        if width == 0 {
-            return Err(Error::InvalidGranularity {
-                reason: "granule width must be at least one time instant".into(),
-            });
-        }
-        Ok(Self {
-            name: name.into(),
-            width,
-        })
-    }
-
-    /// The human-readable name, e.g. `"15-Minutes"`.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Width of one granule, in finest-level time instants.
-    #[must_use]
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// Whether `self` is *m-Finer* than `other` (Definition 3.3): every
-    /// granule of `other` is the union of exactly `m` adjacent granules of
-    /// `self`. Returns the factor `m` when the relation holds.
-    #[must_use]
-    pub fn finer_than(&self, other: &Granularity) -> Option<u64> {
-        if self.width == 0 || other.width < self.width || !other.width.is_multiple_of(self.width) {
-            return None;
-        }
-        Some(other.width / self.width)
-    }
-
-    /// Number of granules of this granularity covering a domain of `len`
-    /// finest-level instants (the final, possibly partial, granule is
-    /// dropped so that the partitioning stays *equal* per Definition 3.2).
-    #[must_use]
-    pub fn granule_count(&self, len: u64) -> u64 {
-        len / self.width
-    }
-
-    /// The period between two granules of this granularity: the absolute
-    /// difference of their positions (Definition 3.2).
-    #[must_use]
-    pub fn period(&self, a: GranulePos, b: GranulePos) -> u64 {
-        a.abs_diff(b)
-    }
-}
-
-impl fmt::Display for Granularity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} (width {})", self.name, self.width)
-    }
-}
-
-/// A stack of granularities ordered from the finest (level 0) to the coarsest
-/// (Definition 3.4). Every level must be an exact multiple of the level below.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GranularityHierarchy {
-    levels: Vec<Granularity>,
-}
-
-impl GranularityHierarchy {
-    /// Builds a hierarchy from finest to coarsest.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidGranularity`] if the list is empty, not sorted
-    /// from fine to coarse, or a level is not an exact multiple of the
-    /// previous one.
-    pub fn new(levels: Vec<Granularity>) -> Result<Self> {
-        if levels.is_empty() {
-            return Err(Error::InvalidGranularity {
-                reason: "a hierarchy needs at least one granularity".into(),
-            });
-        }
-        for pair in levels.windows(2) {
-            if pair[0].finer_than(&pair[1]).is_none() {
-                return Err(Error::InvalidGranularity {
-                    reason: format!(
-                        "granularity `{}` (width {}) is not m-Finer than `{}` (width {})",
-                        pair[0].name(),
-                        pair[0].width(),
-                        pair[1].name(),
-                        pair[1].width()
-                    ),
-                });
-            }
-        }
-        Ok(Self { levels })
-    }
-
-    /// Convenience constructor for the common minute-based hierarchy used in
-    /// the paper's running example: 5-Minutes ⊴3 15-Minutes ⊴2 30-Minutes ⊴2
-    /// 1-Hour ⊴24 1-Day.
-    #[must_use]
-    pub fn minutes_example() -> Self {
-        let levels = vec![
-            Granularity::new("5-Minutes", 1).expect("non-zero width"),
-            Granularity::new("15-Minutes", 3).expect("non-zero width"),
-            Granularity::new("30-Minutes", 6).expect("non-zero width"),
-            Granularity::new("1-Hour", 12).expect("non-zero width"),
-            Granularity::new("1-Day", 288).expect("non-zero width"),
-        ];
-        Self::new(levels).expect("hardcoded hierarchy is valid")
-    }
-
-    /// The finest granularity (level 0).
-    #[must_use]
-    pub fn finest(&self) -> &Granularity {
-        &self.levels[0]
-    }
-
-    /// The coarsest granularity (highest level).
-    #[must_use]
-    pub fn coarsest(&self) -> &Granularity {
-        self.levels.last().expect("hierarchy is non-empty")
-    }
-
-    /// All levels, finest first.
-    #[must_use]
-    pub fn levels(&self) -> &[Granularity] {
-        &self.levels
-    }
-
-    /// Looks a granularity up by name.
-    #[must_use]
-    pub fn by_name(&self, name: &str) -> Option<&Granularity> {
-        self.levels.iter().find(|g| g.name() == name)
-    }
-
-    /// Returns the factor `m` such that the finest granularity is m-Finer
-    /// than the named level.
-    #[must_use]
-    pub fn mapping_factor(&self, name: &str) -> Option<u64> {
-        let target = self.by_name(name)?;
-        self.finest().finer_than(target)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn time_unit_seconds() {
-        assert_eq!(TimeUnit::Second.seconds(), 1);
-        assert_eq!(TimeUnit::Minute.seconds(), 60);
-        assert_eq!(TimeUnit::Hour.seconds(), 3_600);
-        assert_eq!(TimeUnit::Day.seconds(), 86_400);
-        assert_eq!(TimeUnit::Week.seconds(), 604_800);
-        assert_eq!(TimeUnit::Custom(300).seconds(), 300);
-    }
-
-    #[test]
-    fn time_domain_basics() {
-        let d = TimeDomain::new(TimeUnit::Minute, 42);
-        assert_eq!(d.unit(), TimeUnit::Minute);
-        assert_eq!(d.len(), 42);
-        assert!(!d.is_empty());
-        assert!(TimeDomain::new(TimeUnit::Minute, 0).is_empty());
-    }
-
-    #[test]
-    fn zero_width_granularity_is_rejected() {
-        assert!(Granularity::new("bad", 0).is_err());
-    }
-
-    #[test]
-    fn finer_than_returns_the_factor() {
-        let g5 = Granularity::new("5-Minutes", 1).unwrap();
-        let g15 = Granularity::new("15-Minutes", 3).unwrap();
-        let g60 = Granularity::new("1-Hour", 12).unwrap();
-        assert_eq!(g5.finer_than(&g15), Some(3));
-        assert_eq!(g5.finer_than(&g60), Some(12));
-        assert_eq!(g15.finer_than(&g60), Some(4));
-        assert_eq!(g60.finer_than(&g15), None);
-        // A granularity is trivially 1-Finer than itself.
-        assert_eq!(g15.finer_than(&g15), Some(1));
-    }
-
-    #[test]
-    fn finer_than_rejects_non_divisors() {
-        let g2 = Granularity::new("2u", 2).unwrap();
-        let g5 = Granularity::new("5u", 5).unwrap();
-        assert_eq!(g2.finer_than(&g5), None);
-    }
-
-    #[test]
-    fn granule_count_drops_partial_tail() {
-        let g15 = Granularity::new("15-Minutes", 3).unwrap();
-        assert_eq!(g15.granule_count(42), 14);
-        assert_eq!(g15.granule_count(43), 14);
-        assert_eq!(g15.granule_count(44), 14);
-        assert_eq!(g15.granule_count(45), 15);
-        assert_eq!(g15.granule_count(2), 0);
-    }
-
-    #[test]
-    fn period_matches_paper_example() {
-        // Period between Minute1 and Minute6 is 5 (Definition 3.2 example).
-        let minute = Granularity::new("Minute", 1).unwrap();
-        assert_eq!(minute.period(1, 6), 5);
-        assert_eq!(minute.period(6, 1), 5);
-        assert_eq!(minute.period(4, 4), 0);
-    }
-
-    #[test]
-    fn hierarchy_validates_multiples() {
-        let bad = GranularityHierarchy::new(vec![
-            Granularity::new("2u", 2).unwrap(),
-            Granularity::new("5u", 5).unwrap(),
-        ]);
-        assert!(bad.is_err());
-
-        let good = GranularityHierarchy::new(vec![
-            Granularity::new("1u", 1).unwrap(),
-            Granularity::new("4u", 4).unwrap(),
-            Granularity::new("8u", 8).unwrap(),
-        ]);
-        assert!(good.is_ok());
-    }
-
-    #[test]
-    fn hierarchy_rejects_empty() {
-        assert!(GranularityHierarchy::new(vec![]).is_err());
-    }
-
-    #[test]
-    fn minutes_example_hierarchy() {
-        let h = GranularityHierarchy::minutes_example();
-        assert_eq!(h.finest().name(), "5-Minutes");
-        assert_eq!(h.coarsest().name(), "1-Day");
-        assert_eq!(h.mapping_factor("15-Minutes"), Some(3));
-        assert_eq!(h.mapping_factor("1-Hour"), Some(12));
-        assert_eq!(h.mapping_factor("1-Day"), Some(288));
-        assert!(h.by_name("1-Month").is_none());
-        assert_eq!(h.levels().len(), 5);
-    }
-
-    #[test]
-    fn display_impls() {
-        let g = Granularity::new("15-Minutes", 3).unwrap();
-        assert!(format!("{g}").contains("15-Minutes"));
-        assert!(format!("{}", TimeUnit::Minute).contains("minute"));
-        assert!(format!("{}", TimeUnit::Custom(7)).contains('7'));
-    }
-}

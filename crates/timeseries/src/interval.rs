@@ -45,22 +45,10 @@ impl Interval {
         self.end - self.start + 1
     }
 
-    /// Whether `pos` lies inside the interval.
-    #[must_use]
-    pub fn contains_pos(&self, pos: GranulePos) -> bool {
-        self.start <= pos && pos <= self.end
-    }
-
     /// Whether `other` is fully contained in `self`.
     #[must_use]
     pub fn contains(&self, other: &Interval) -> bool {
         self.start <= other.start && other.end <= self.end
-    }
-
-    /// Whether the two intervals share at least one granule.
-    #[must_use]
-    pub fn intersects(&self, other: &Interval) -> bool {
-        self.start <= other.end && other.start <= self.end
     }
 
     /// Number of granules shared by the two intervals (0 when disjoint).
@@ -117,9 +105,6 @@ mod tests {
         assert!(outer.contains(&inner));
         assert!(!inner.contains(&outer));
         assert!(outer.contains(&outer));
-        assert!(outer.contains_pos(1));
-        assert!(outer.contains_pos(10));
-        assert!(!outer.contains_pos(11));
     }
 
     #[test]
@@ -127,8 +112,6 @@ mod tests {
         let a = Interval::new(1, 5);
         let b = Interval::new(4, 9);
         let c = Interval::new(7, 9);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
         assert_eq!(a.overlap_len(&b), 2);
         assert_eq!(a.overlap_len(&c), 0);
         assert_eq!(a.overlap_len(&a), 5);

@@ -6,9 +6,11 @@
 //! This crate implements Phase 1 of the FreqSTPfTS pipeline, *Data
 //! Transformation*:
 //!
-//! 1. [`TimeDomain`] / [`Granularity`] / [`GranularityHierarchy`] — the time
-//!    model of Section III-A of the paper (granules, positions, periods, the
-//!    *m-Finer* relation between granularities).
+//! 1. The time model of Section III-A of the paper: series are sampled at the
+//!    finest granularity `G`, and the coarser granularity `H` groups `m`
+//!    adjacent instants of `G` into one granule — `m` is the mapping factor
+//!    of [`SymbolicDatabase::to_sequence_database`]. Granules are addressed
+//!    by their 1-based [`GranulePos`].
 //! 2. [`TimeSeries`] and the [`Symbolizer`] implementations (SAX,
 //!    equal-width, quantile and explicit thresholds) — Section III-B.
 //! 3. [`SymbolicSeries`] / [`SymbolicDatabase`] — the symbolic database
@@ -52,7 +54,7 @@ pub mod symbolic;
 pub mod symbolize;
 
 pub use error::{Error, Result};
-pub use granularity::{Granularity, GranularityHierarchy, GranulePos, TimeDomain, TimeUnit};
+pub use granularity::GranulePos;
 pub use interval::Interval;
 pub use registry::{EventLabel, EventRegistry, SeriesId, SymbolId};
 pub use sequence::{EventInstance, SequenceDatabase, TemporalSequence};

@@ -131,29 +131,6 @@ impl EventRegistry {
             .map_or("<unknown-symbol>", String::as_str);
         format!("{series}:{symbol}")
     }
-
-    /// Enumerates every possible event label.
-    pub fn all_labels(&self) -> impl Iterator<Item = EventLabel> + '_ {
-        self.alphabets.iter().enumerate().flat_map(|(sid, alpha)| {
-            (0..alpha.len()).map(move |sym| {
-                EventLabel::new(
-                    SeriesId(u32::try_from(sid).expect("series fits u32")),
-                    SymbolId(u16::try_from(sym).expect("symbol fits u16")),
-                )
-            })
-        })
-    }
-
-    /// Rebuilds the name → id index (needed after deserialization because the
-    /// index itself is not serialized).
-    pub fn rebuild_index(&mut self) {
-        self.series_index = self
-            .series_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), SeriesId(u32::try_from(i).expect("fits"))))
-            .collect();
-    }
 }
 
 impl fmt::Display for EventLabel {
@@ -215,28 +192,19 @@ mod tests {
     }
 
     #[test]
-    fn all_labels_enumerates_everything() {
-        let reg = sample_registry();
-        let labels: Vec<_> = reg.all_labels().collect();
-        assert_eq!(labels.len(), 7);
-        assert!(labels.contains(&EventLabel::new(SeriesId(2), SymbolId(2))));
-    }
-
-    #[test]
     fn packed_is_unique_per_label() {
         let reg = sample_registry();
-        let mut packed: Vec<_> = reg.all_labels().map(|l| l.packed()).collect();
+        let mut packed: Vec<u64> = (0..3)
+            .flat_map(|series| {
+                let symbols = reg.alphabet(SeriesId(series)).unwrap().len();
+                (0..symbols).map(move |symbol| {
+                    let symbol = SymbolId(u16::try_from(symbol).unwrap());
+                    EventLabel::new(SeriesId(series), symbol).packed()
+                })
+            })
+            .collect();
         packed.sort_unstable();
         packed.dedup();
         assert_eq!(packed.len(), 7);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookups() {
-        let mut reg = sample_registry();
-        reg.series_index.clear();
-        assert_eq!(reg.series_id("C"), None);
-        reg.rebuild_index();
-        assert_eq!(reg.series_id("C"), Some(SeriesId(0)));
     }
 }

@@ -136,23 +136,6 @@ impl SequenceDatabase {
         })
     }
 
-    /// Builds a database directly from pre-constructed sequences (useful for
-    /// tests and for re-creating the paper's Table IV verbatim).
-    #[must_use]
-    pub fn from_sequences(
-        sequences: Vec<TemporalSequence>,
-        registry: EventRegistry,
-        m: u64,
-        num_series: usize,
-    ) -> Self {
-        Self {
-            sequences,
-            registry,
-            m,
-            num_series,
-        }
-    }
-
     /// Number of granules (= rows of `D_SEQ`).
     #[must_use]
     pub fn num_granules(&self) -> u64 {
@@ -192,12 +175,6 @@ impl SequenceDatabase {
         &self.registry
     }
 
-    /// Total number of event instances across all sequences.
-    #[must_use]
-    pub fn total_instances(&self) -> usize {
-        self.sequences.iter().map(TemporalSequence::len).sum()
-    }
-
     /// Distinct event labels occurring anywhere in the database.
     #[must_use]
     pub fn distinct_events(&self) -> Vec<EventLabel> {
@@ -207,17 +184,6 @@ impl SequenceDatabase {
             .flat_map(|s| s.instances().iter().map(|e| e.label))
             .collect();
         set.into_iter().collect()
-    }
-
-    /// The support set of an event: the (sorted) granule positions where it
-    /// occurs (Definition 3.12).
-    #[must_use]
-    pub fn support_of(&self, label: EventLabel) -> Vec<GranulePos> {
-        self.sequences
-            .iter()
-            .filter(|s| s.contains_event(label))
-            .map(TemporalSequence::granule)
-            .collect()
     }
 
     /// Keeps only the first `n` sequences (used by the scalability
@@ -230,40 +196,6 @@ impl SequenceDatabase {
             m: self.m,
             num_series: self.num_series,
         }
-    }
-
-    /// Builds only the granules that `db` has grown since this database was
-    /// (last) built from it, appends them, and returns the newly appended
-    /// slice. Samples that do not yet fill a complete granule are left for a
-    /// later append — existing granules are never revisited, matching the
-    /// append-only contract of the streaming miner.
-    ///
-    /// # Errors
-    /// [`Error::AppendMismatch`] when `db` is not a grown version of the
-    /// database this one was built from (different registry or series count),
-    /// or when it shrank below the already-built granules.
-    pub fn append_from_symbolic(&mut self, db: &SymbolicDatabase) -> Result<&[TemporalSequence]> {
-        if db.num_series() != self.num_series || db.registry() != &self.registry {
-            return Err(Error::AppendMismatch {
-                reason: "the symbolic database's series set or registry diverged from the \
-                         sequence database's"
-                    .into(),
-            });
-        }
-        let built = self.sequences.len() as u64;
-        let total = db.len() as u64 / self.m;
-        if total < built {
-            return Err(Error::AppendMismatch {
-                reason: format!(
-                    "the symbolic database covers {total} granules but {built} were \
-                     already built"
-                ),
-            });
-        }
-        let from = self.sequences.len();
-        self.sequences
-            .extend(db.granule_sequences(self.m, built..total)?);
-        Ok(&self.sequences[from..])
     }
 }
 
@@ -358,16 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn support_set_is_sorted_granule_positions() {
-        let db = table2_c_prefix();
-        let dseq = db.to_sequence_database(3).unwrap();
-        let label_on = db.registry().label("C", "1").unwrap();
-        let label_off = db.registry().label("C", "0").unwrap();
-        assert_eq!(dseq.support_of(label_on), vec![1, 2, 3]);
-        assert_eq!(dseq.support_of(label_off), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn sequence_accessors() {
         let db = table2_c_prefix();
         let dseq = db.to_sequence_database(3).unwrap();
@@ -380,7 +302,6 @@ mod tests {
         assert!(s.contains_event(on));
         assert_eq!(s.instances_of(on).count(), 1);
         assert_eq!(s.distinct_events().len(), 2);
-        assert_eq!(dseq.total_instances(), 6);
         assert_eq!(dseq.distinct_events().len(), 2);
         assert_eq!(dseq.num_series(), 1);
     }
@@ -423,43 +344,22 @@ mod tests {
             .unwrap()
         };
         let mut growing = slice(0, 4); // one full granule + one pending instant
-        let mut dseq = growing.to_sequence_database(3).unwrap();
-        assert_eq!(dseq.num_granules(), 1);
+        let mut built = growing
+            .to_sequence_database(3)
+            .unwrap()
+            .sequences()
+            .to_vec();
+        assert_eq!(built.len(), 1);
         growing.append_batch(&slice(4, 7)).unwrap(); // completes granule 2, starts 3
-        let appended = dseq.append_from_symbolic(&growing).unwrap();
+        let appended = growing.granule_sequences(3, 1..2).unwrap();
         assert_eq!(appended.len(), 1);
         assert_eq!(appended[0], *reference.sequence_at(2).unwrap());
+        built.extend(appended);
         growing.append_batch(&slice(7, 9)).unwrap(); // completes granule 3
-        let appended = dseq.append_from_symbolic(&growing).unwrap();
+        let appended = growing.granule_sequences(3, 2..3).unwrap();
         assert_eq!(appended[0], *reference.sequence_at(3).unwrap());
-        assert_eq!(dseq.sequences(), reference.sequences());
-        // Appending with nothing new is a no-op.
-        assert!(dseq.append_from_symbolic(&growing).unwrap().is_empty());
-    }
-
-    #[test]
-    fn append_from_symbolic_rejects_mismatched_databases() {
-        let db = table2_c_prefix();
-        let mut dseq = db.to_sequence_database(3).unwrap();
-        // A database with a different series set is rejected.
-        let alphabet = Alphabet::from_strs(&["0", "1"]).unwrap();
-        let other = SymbolicDatabase::new(vec![SymbolicSeries::from_labels(
-            "Z",
-            &["1", "0", "1"],
-            alphabet,
-        )
-        .unwrap()])
-        .unwrap();
-        assert!(matches!(
-            dseq.append_from_symbolic(&other),
-            Err(Error::AppendMismatch { .. })
-        ));
-        // A database that shrank below the built granules is rejected too.
-        let shrunk = db.truncated(3).unwrap();
-        assert!(matches!(
-            dseq.append_from_symbolic(&shrunk),
-            Err(Error::AppendMismatch { .. })
-        ));
+        built.extend(appended);
+        assert_eq!(built, reference.sequences());
     }
 
     #[test]
@@ -540,7 +440,12 @@ mod tests {
 
         // Support of the event C:1 across D_SEQ (paper, Definition 3.7 example):
         // it occurs at H1, H2, H3, H7, H8, H11, H12, H14.
-        let sup_c1 = dseq.support_of(c1);
+        let sup_c1: Vec<u64> = dseq
+            .sequences()
+            .iter()
+            .filter(|s| s.contains_event(c1))
+            .map(TemporalSequence::granule)
+            .collect();
         assert_eq!(sup_c1, vec![1, 2, 3, 7, 8, 11, 12, 14]);
     }
 }

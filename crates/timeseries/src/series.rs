@@ -115,29 +115,6 @@ impl TimeSeries {
             values: self.values.iter().copied().take(len).collect(),
         }
     }
-
-    /// Z-normalised copy of the series (mean 0, standard deviation 1). Series
-    /// with zero variance are returned centred but not scaled.
-    #[must_use]
-    pub fn z_normalized(&self) -> Self {
-        let mean = self.mean().unwrap_or(0.0);
-        let sd = self.std_dev().unwrap_or(0.0);
-        let values = self
-            .values
-            .iter()
-            .map(|v| {
-                if sd > f64::EPSILON {
-                    (v - mean) / sd
-                } else {
-                    v - mean
-                }
-            })
-            .collect();
-        Self {
-            name: self.name.clone(),
-            values,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,21 +158,6 @@ mod tests {
         assert_eq!(ts.max(), None);
         assert_eq!(ts.mean(), None);
         assert_eq!(ts.std_dev(), None);
-    }
-
-    #[test]
-    fn z_normalization_centres_and_scales() {
-        let ts = TimeSeries::new("Z", vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        let z = ts.z_normalized();
-        assert!((z.mean().unwrap()).abs() < 1e-12);
-        assert!((z.std_dev().unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn z_normalization_of_constant_series_does_not_divide_by_zero() {
-        let ts = TimeSeries::new("K", vec![3.0; 10]);
-        let z = ts.z_normalized();
-        assert!(z.values().iter().all(|v| v.abs() < 1e-12));
     }
 
     #[test]

@@ -85,18 +85,6 @@ impl JointDistribution {
         self.samples
     }
 
-    /// Alphabet size of the first series.
-    #[must_use]
-    pub fn x_cardinality(&self) -> usize {
-        self.marginal_x.len()
-    }
-
-    /// Alphabet size of the second series.
-    #[must_use]
-    pub fn y_cardinality(&self) -> usize {
-        self.marginal_y.len()
-    }
-
     /// Iterates over all `(x, y, p(x,y))` entries.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.joint
@@ -141,8 +129,6 @@ mod tests {
         assert_eq!(d.joint(0, 1), 0.0);
         assert_eq!(d.joint(1, 0), 0.0);
         assert_eq!(d.samples(), 6);
-        assert_eq!(d.x_cardinality(), 2);
-        assert_eq!(d.y_cardinality(), 2);
     }
 
     #[test]

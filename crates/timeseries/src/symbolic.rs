@@ -212,14 +212,6 @@ impl SymbolicDatabase {
         self.series.get(id.0 as usize)
     }
 
-    /// One series by name.
-    #[must_use]
-    pub fn series_by_name(&self, name: &str) -> Option<&SymbolicSeries> {
-        self.registry
-            .series_id(name)
-            .and_then(|id| self.series_by_id(id))
-    }
-
     /// The registry mapping events to readable names.
     #[must_use]
     pub fn registry(&self) -> &EventRegistry {
@@ -382,14 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn database_lookup_by_name_and_id() {
+    fn database_lookup_by_id() {
         let db =
             SymbolicDatabase::new(vec![series("C", &[1, 0, 1]), series("D", &[0, 0, 1])]).unwrap();
         assert_eq!(db.num_series(), 2);
         assert_eq!(db.len(), 3);
         assert!(!db.is_empty());
-        assert_eq!(db.series_by_name("D").unwrap().name(), "D");
-        assert!(db.series_by_name("Z").is_none());
         assert_eq!(db.series_by_id(SeriesId(0)).unwrap().name(), "C");
         assert!(db.series_by_id(SeriesId(7)).is_none());
         assert_eq!(db.registry().num_events(), 4);

@@ -158,13 +158,6 @@ impl ThresholdSymbolizer {
     pub fn binary(threshold: f64, low: &str, high: &str) -> Self {
         Self::new(vec![threshold], &[low, high]).expect("two labels, one breakpoint")
     }
-
-    /// Three-level Low/Medium/High symbolizer.
-    #[must_use]
-    pub fn low_mid_high(low_cut: f64, high_cut: f64) -> Self {
-        Self::new(vec![low_cut, high_cut], &["Low", "Medium", "High"])
-            .expect("three labels, two ascending breakpoints")
-    }
 }
 
 impl Symbolizer for ThresholdSymbolizer {
@@ -417,8 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn low_mid_high_buckets() {
-        let sym = ThresholdSymbolizer::low_mid_high(10.0, 25.0);
+    fn three_level_threshold_buckets() {
+        let sym = ThresholdSymbolizer::new(vec![10.0, 25.0], &["Low", "Medium", "High"]).unwrap();
         assert_eq!(sym.alphabet().label(sym.encode_value(5.0)), Some("Low"));
         assert_eq!(sym.alphabet().label(sym.encode_value(15.0)), Some("Medium"));
         assert_eq!(sym.alphabet().label(sym.encode_value(30.0)), Some("High"));
